@@ -26,6 +26,11 @@
 // see — scheduling stalls, per-figure setup cost, GC pressure from the
 // drivers themselves.
 //
+// It also times ecperfsim at its defaults with the always-on flight recorder
+// on and off, in back-to-back pairs ("e2e:EcperfsimFlightOn/Off"), and fails
+// when the median of the pairs' on/off ratios exceeds -flight-max. Each ratio
+// compares two runs taken side by side, so the bound holds on any host.
+//
 // Each run appends to the BENCH_<n>.json history rather than overwriting,
 // and rewrites BENCH_TREND.md, a markdown table of every pinned
 // benchmark's ns/op and allocs/op across the recorded history.
@@ -35,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,12 +62,16 @@ import (
 // under -memmodel loaded.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
-	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord)$"
+	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
+	"BenchmarkTracerRingRecord)$"
 
-// E2E pseudo-benchmark keys: wall-clock timings of the figures binary.
+// E2E pseudo-benchmark keys: wall-clock timings of whole driver binaries.
 const (
 	e2eQuickKey = "e2e:FiguresQuick"
 	e2eFullKey  = "e2e:FiguresFull"
+	// ecperfsim defaults with the flight recorder on and off.
+	e2eFlightOnKey  = "e2e:EcperfsimFlightOn"
+	e2eFlightOffKey = "e2e:EcperfsimFlightOff"
 )
 
 // Result is one benchmark's summary, min across runs. For the e2e
@@ -94,6 +104,8 @@ func main() {
 	e2e := flag.Bool("e2e", true, "measure figures -quick end-to-end wall clock")
 	e2eCount := flag.Int("e2e-count", 2, "end-to-end runs per configuration; the minimum is kept")
 	full := flag.Bool("full", false, "also measure the full-fidelity figures run (slow; nightly/manual)")
+	flightCount := flag.Int("flight-count", 10, "ecperfsim on/off run pairs for the flight-recorder overhead gate; 0 skips it")
+	flightMax := flag.Float64("flight-max", 1.05, "allowed median on/off wall-clock ratio of the ecperfsim flight-recorder pairs")
 	trend := flag.String("trend", "BENCH_TREND.md", "markdown trend table to (re)write; empty disables")
 	flag.Parse()
 
@@ -119,6 +131,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	flightOK := true
+	if *flightCount > 0 {
+		ratio, err := runFlightOverhead(&rep, *flightCount)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "perfcheck: %v\n", err)
+			os.Exit(1)
+		}
+		flightOK = ratio <= *flightMax
+		status := "ok  "
+		if !flightOK {
+			status = "FAIL"
+		}
+		fmt.Printf("%s flight recorder overhead: on/off %.3f (limit %.2f; median of %d pairs)\n",
+			status, ratio, *flightMax, *flightCount)
+	}
 
 	outPath := *out
 	if outPath == "" {
@@ -136,6 +163,10 @@ func main() {
 	}
 
 	if *update {
+		if !flightOK {
+			fmt.Fprintln(os.Stderr, "perfcheck: flight-recorder overhead over its limit; baseline not updated")
+			os.Exit(1)
+		}
 		writeJSON(*baselinePath, rep)
 		fmt.Printf("baseline %s updated\n", *baselinePath)
 		// Regenerate the trend so its baseline column reflects the pin
@@ -160,7 +191,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	failed := false
+	failed := !flightOK
 	for _, b := range sortedKeys(baseRep.Benchmarks) {
 		cur, ok := rep.Benchmarks[b]
 		if !ok {
@@ -199,8 +230,8 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "perfcheck: regression beyond tolerance (ns/op %.0f%%, allocs/op %.0f%%)\n",
-			*tol*100, *allocTol*100)
+		fmt.Fprintf(os.Stderr, "perfcheck: regression beyond tolerance (ns/op %.0f%%, allocs/op %.0f%%, flight on/off %.2f)\n",
+			*tol*100, *allocTol*100, *flightMax)
 		emitTriage(*baselinePath, outPath)
 		os.Exit(1)
 	}
@@ -283,6 +314,79 @@ func runE2E(rep *Report, e2eCount int, full bool) error {
 	return nil
 }
 
+// runFlightOverhead builds ecperfsim, times its default invocation with the
+// flight recorder on and off in n pairs, records each side's minimum under
+// the e2e flight keys, and returns the pairs' median on/off ratio. Runs
+// execute in a scratch directory, so a triggered dump could not land in the
+// working tree.
+func runFlightOverhead(rep *Report, n int) (ratio float64, err error) {
+	dir, err := os.MkdirTemp("", "perfcheck-flight")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	bin := filepath.Join(dir, "ecperfsim")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/ecperfsim")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		return 0, fmt.Errorf("building ecperfsim: %w", err)
+	}
+	on, off, ratio, err := flightOverhead(n, func(flightOn bool) (float64, error) {
+		mode := "off"
+		if flightOn {
+			mode = "on"
+		}
+		cmd := exec.Command(bin, "-flight", mode)
+		cmd.Dir = dir
+		start := time.Now()
+		if err := cmd.Run(); err != nil {
+			return 0, fmt.Errorf("%s -flight %s: %w", bin, mode, err)
+		}
+		return time.Since(start).Seconds(), nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	rep.Benchmarks[e2eFlightOnKey] = Result{NsPerOp: on * 1e9}
+	rep.Benchmarks[e2eFlightOffKey] = Result{NsPerOp: off * 1e9}
+	return ratio, nil
+}
+
+// flightOverhead runs n pairs of one flight-off and one flight-on run, the
+// side that goes first alternating per pair (off-on, on-off, ...). It
+// returns each side's minimum and the median of the pairs' on/off ratios.
+//
+// The gate uses the paired median, not the ratio of the minima: the host's
+// speed drifts by several percent between runs, a pair's two runs see
+// nearly the same host, and one lucky run on either side moves the ratio
+// of the minima by as much as the overhead being measured.
+func flightOverhead(n int, run func(flightOn bool) (float64, error)) (on, off, ratio float64, err error) {
+	on, off = math.Inf(1), math.Inf(1)
+	ratios := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		var secs [2]float64 // off, on
+		first := i%2 == 1
+		for _, flightOn := range [2]bool{first, !first} {
+			t, err := run(flightOn)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if flightOn {
+				secs[1], on = t, math.Min(on, t)
+			} else {
+				secs[0], off = t, math.Min(off, t)
+			}
+		}
+		ratios = append(ratios, secs[1]/secs[0])
+	}
+	sort.Float64s(ratios)
+	ratio = ratios[n/2]
+	if n%2 == 0 {
+		ratio = (ratios[n/2-1] + ratios[n/2]) / 2
+	}
+	return on, off, ratio, nil
+}
+
 // trendFile is one BENCH_*.json in the recorded history.
 type trendFile struct {
 	label string
@@ -339,7 +443,7 @@ func writeTrend(path, baselinePath, outPath string, cur Report) error {
 	b.WriteString("Min-of-count results per pinned benchmark across the recorded\n")
 	b.WriteString("BENCH_*.json history (oldest first). Cells are time/op with\n")
 	b.WriteString("allocs/op in parentheses where recorded; `e2e:` rows are whole\n")
-	b.WriteString("figures-binary wall-clock runs. Regenerated by `go run ./cmd/perfcheck`.\n\n")
+	b.WriteString("figures- or ecperfsim-binary wall-clock runs. Regenerated by `go run ./cmd/perfcheck`.\n\n")
 	b.WriteString("| benchmark |")
 	for _, f := range files {
 		fmt.Fprintf(&b, " %s |", f.label)

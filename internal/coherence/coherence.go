@@ -225,7 +225,7 @@ func (b *Bus) noteFilterFallback(reason string) {
 	b.filterFallbackWhy = reason
 	if b.Tracer.Enabled(obs.CompMem) {
 		b.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0,
-			obs.Arg{Key: "reason", Val: reason})
+			obs.Str(obs.KeyReason, reason))
 	}
 }
 
@@ -404,7 +404,7 @@ func (n *Node) Read(addr mem.Addr, now uint64) Source {
 	}
 	if n.bus.Tracer.Enabled(obs.CompMem) {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.gets", n.id, now,
-			obs.Arg{Key: "src", Val: src.String()}, obs.Arg{Key: "addr", Val: ba})
+			obs.Str(obs.KeySrc, src.String()), obs.U64(obs.KeyAddr, ba))
 	}
 	st := Shared
 	if n.bus.Protocol == MESI && !anyCopy {
@@ -480,7 +480,7 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 			}
 			if n.bus.Tracer.Enabled(obs.CompMem) {
 				n.bus.Tracer.Instant(obs.CompMem, "bus.upgrade", n.id, now,
-					obs.Arg{Key: "addr", Val: ba})
+					obs.U64(obs.KeyAddr, ba))
 			}
 			if n.bus.Sanitize {
 				n.bus.sanitize(ba)
@@ -556,7 +556,7 @@ func (n *Node) Write(addr mem.Addr, now uint64) Source {
 	}
 	if n.bus.Tracer.Enabled(obs.CompMem) {
 		n.bus.Tracer.Instant(obs.CompMem, "bus.getm", n.id, now,
-			obs.Arg{Key: "src", Val: src.String()}, obs.Arg{Key: "addr", Val: ba})
+			obs.Str(obs.KeySrc, src.String()), obs.U64(obs.KeyAddr, ba))
 	}
 	n.insert(ba, Modified).Dirty = true
 	if n.bus.Sanitize {

@@ -75,7 +75,7 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 	// timeline too; later fallbacks emit their own instants.
 	if ob.Tracer != nil && ob.Tracer.Enabled(obs.CompMem) {
 		if n, why := sys.Hier.Bus().FilterFallbacks(); n > 0 {
-			ob.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Arg{Key: "reason", Val: why})
+			ob.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Str(obs.KeyReason, why))
 		}
 	}
 }

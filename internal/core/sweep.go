@@ -62,7 +62,7 @@ func (f *feeder) feedItems(items []trace.Item) {
 			if it.GC != nil {
 				if f.tracer.Enabled(obs.CompJVM) {
 					f.tracer.Instant(obs.CompJVM, "gc", 0, f.instr,
-						obs.Arg{Key: "live_bytes", Val: it.GC.LiveBytes})
+						obs.U64(obs.KeyLiveBytes, it.GC.LiveBytes))
 				}
 				f.feedItems(it.GC.Items)
 			}

@@ -314,12 +314,13 @@ func (inj *Injector) AttachTracer(t *obs.Tracer, tid int) {
 	inj.tracer = t
 	inj.tid = tid
 	for _, e := range inj.sched.Events {
-		args := []obs.Arg{{Key: "kind", Val: e.Kind.String()}}
+		var buf [3]obs.Arg
+		args := append(buf[:0], obs.Str(obs.KeyKind, e.Kind.String()))
 		if e.Peer != 0 {
-			args = append(args, obs.Arg{Key: "peer", Val: uint64(e.Peer)})
+			args = append(args, obs.U64(obs.KeyPeer, uint64(e.Peer)))
 		}
 		if e.Magnitude != 0 {
-			args = append(args, obs.Arg{Key: "magnitude", Val: e.Magnitude})
+			args = append(args, obs.F64(obs.KeyMagnitude, e.Magnitude))
 		}
 		t.Span(obs.CompFault, "fault."+e.Kind.String(), tid, e.At, e.End(), args...)
 	}

@@ -40,7 +40,8 @@ import (
 
 // Defaults for Options' zero values.
 const (
-	// DefaultRingEvents bounds the event ring (~64 B/event → a few MB).
+	// DefaultRingEvents bounds the event ring: 104 B per event with its
+	// arguments inline, so at most 6.8 MB, allocated as the ring fills.
 	DefaultRingEvents = 65536
 	// DefaultWindowCycles is one simulated second at the 250 MHz clock.
 	DefaultWindowCycles = 250_000_000
@@ -465,11 +466,12 @@ func (r *Recorder) windowEvents(winStart, now uint64) []obs.Event {
 		if end > now {
 			end = now
 		}
-		out = append(out, obs.Event{
+		e := obs.Event{
 			Name: "fault.window", Comp: obs.CompFault, Phase: 'X', Tid: -1,
 			Time: w.At, Dur: end - w.At,
-			Args: []obs.Arg{{Key: "kind", Val: w.Kind.String()}, {Key: "magnitude", Val: w.Magnitude}},
-		})
+		}
+		e.SetArgs(obs.Str(obs.KeyKind, w.Kind.String()), obs.F64(obs.KeyMagnitude, w.Magnitude))
+		out = append(out, e)
 	}
 	for _, e := range r.ring.Events() {
 		if e.Time+e.Dur < winStart || e.Time > now {

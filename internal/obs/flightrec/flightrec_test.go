@@ -156,7 +156,7 @@ func TestDumpDeterminism(t *testing.T) {
 			{Kind: fault.GCStorm, At: 300, Duration: 100, Magnitude: 4},
 		}})
 		for i := uint64(0); i < 50; i++ {
-			rec.ring.Push(obs.Event{Name: "op", Comp: obs.CompWorkload, Phase: 'X', Time: i * 10, Dur: 5})
+			rec.ring.Push(&obs.Event{Name: "op", Comp: obs.CompWorkload, Phase: 'X', Time: i * 10, Dur: 5})
 		}
 		for now := uint64(100); now <= 400; now += 100 {
 			*counter += 3

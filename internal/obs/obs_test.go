@@ -34,9 +34,9 @@ func TestTracerChromeJSON(t *testing.T) {
 	tr.SampleEvery(CompMem, 1)
 	tr.NameProcess(0, "SPECjbb")
 	tr.NameThread(0, 3, "jbb-worker")
-	tr.Span(CompJVM, "gc.minor", 0, 1000, 3500, Arg{"live_bytes", uint64(42)})
+	tr.Span(CompJVM, "gc.minor", 0, 1000, 3500, U64(KeyLiveBytes, 42))
 	tr.Span(CompOS, "lock.wait", 3, 200, 450)
-	tr.Instant(CompMem, "bus.getm", 1, 777, Arg{"src", "c2c"})
+	tr.Instant(CompMem, "bus.getm", 1, 777, Str(KeySrc, "c2c"))
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {

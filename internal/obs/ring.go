@@ -9,39 +9,49 @@ package obs
 //
 // A nil *EventRing is valid and inert.
 type EventRing struct {
-	buf     []Event
-	next    int
-	full    bool
-	evicted uint64
+	// chunks hold the events, ringChunk slots each. They are allocated as
+	// the ring first fills, so building a ring costs nothing up front and a
+	// ring that never fills holds only what it was given.
+	chunks   [][]Event
+	capacity int
+	n        int // events held
+	next     int // once full: the oldest event's slot, overwritten next
+	evicted  uint64
 }
+
+// ringChunk is the ring's allocation unit in events (416 KiB).
+const ringChunk = 4096
 
 // NewEventRing returns a ring holding at most capacity events (minimum 1).
 func NewEventRing(capacity int) *EventRing {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &EventRing{buf: make([]Event, 0, capacity)}
+	return &EventRing{capacity: capacity}
 }
 
-// Push appends an event, evicting the oldest when the ring is full.
-func (r *EventRing) Push(e Event) {
+// Push copies an event into the ring, evicting the oldest when the ring is
+// full.
+func (r *EventRing) Push(e *Event) {
 	if r == nil {
 		return
 	}
-	if !r.full {
-		r.buf = append(r.buf, e)
-		if len(r.buf) == cap(r.buf) {
-			r.full = true
+	i := r.n
+	if r.n < r.capacity {
+		r.n++
+	} else {
+		i = r.next
+		r.next++
+		if r.next == r.capacity {
 			r.next = 0
 		}
-		return
+		r.evicted++
 	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
+	c := i / ringChunk
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, make([]Event, min(ringChunk, r.capacity-i)))
 	}
-	r.evicted++
+	r.chunks[c][i%ringChunk] = *e
 }
 
 // Len returns the number of events currently held.
@@ -49,7 +59,7 @@ func (r *EventRing) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.n
 }
 
 // Cap returns the ring's capacity.
@@ -57,7 +67,7 @@ func (r *EventRing) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return cap(r.buf)
+	return r.capacity
 }
 
 // Evicted returns how many events were overwritten by newer ones.
@@ -73,28 +83,19 @@ func (r *EventRing) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return uint64(len(r.buf)) + r.evicted
+	return uint64(r.n) + r.evicted
 }
 
 // Events returns the held events oldest-first (a copy; the ring keeps
 // recording).
 func (r *EventRing) Events() []Event {
-	if r == nil || len(r.buf) == 0 {
+	if r == nil || r.n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
+	out := make([]Event, 0, r.n)
+	for k := 0; k < r.n; k++ {
+		i := (r.next + k) % r.capacity // next is 0 until the ring wraps
+		out = append(out, r.chunks[i/ringChunk][i%ringChunk])
 	}
-	out = append(out, r.buf[:r.nextOr(len(r.buf))]...)
 	return out
-}
-
-// nextOr returns the write cursor, or n before the ring first fills (the
-// cursor is only meaningful once wrapping starts).
-func (r *EventRing) nextOr(n int) int {
-	if r.full {
-		return r.next
-	}
-	return n
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 )
@@ -24,24 +25,121 @@ const DefaultMemSample = 16
 
 // Event is one trace_event record on the simulated clock. Time and Dur are
 // in cycles; they are converted to microseconds only at export.
+//
+// An event is fixed-width: up to MaxArgs typed annotations live inline (a
+// key, a value kind and a 64-bit value each, plus one shared string slot),
+// so recording one allocates nothing. Key names and values become text only
+// when the event is rendered for export or a flight-recorder dump.
 type Event struct {
 	Name string
-	Comp Component
+	// Pid/Tid place the event on a Perfetto track: Pid groups a machine or
+	// workload, Tid is a thread ID or CPU within it. They are int32 so the
+	// whole event fits in 104 B.
+	Pid, Tid int32
+	Comp     Component
 	// Phase is 'X' (complete span) or 'i' (instant).
 	Phase byte
-	// Pid/Tid place the event on a Perfetto track: Pid groups a machine or
-	// workload, Tid is a thread ID or CPU within it.
-	Pid, Tid int
-	Time     uint64
-	Dur      uint64
-	// Args are optional key=value annotations (small, human-oriented).
-	Args []Arg
+
+	nargs uint8
+	keys  [MaxArgs]ArgKey
+	kinds [MaxArgs]argKind
+	Time  uint64
+	Dur   uint64
+	vals  [MaxArgs]uint64
+	str   string // the value of the (at most one) Str argument
 }
 
-// Arg is one event annotation.
+// MaxArgs is how many annotations an Event holds inline.
+const MaxArgs = 4
+
+// ArgKey names an event annotation. The set is closed: every key the
+// simulator records is declared here, and argKeyNames renders it.
+type ArgKey uint8
+
+const (
+	KeyKind ArgKey = iota
+	KeyPeer
+	KeyMagnitude
+	KeyReason
+	KeySrc
+	KeyAddr
+	KeyLock
+	KeyReqBytes
+	KeyRespBytes
+	KeyLiveBytes
+	KeyCopiedObjs
+	KeyFreedBytes
+	KeyWorkers
+	KeyLastDispatch
+	numArgKeys
+)
+
+var argKeyNames = [numArgKeys]string{
+	KeyKind:         "kind",
+	KeyPeer:         "peer",
+	KeyMagnitude:    "magnitude",
+	KeyReason:       "reason",
+	KeySrc:          "src",
+	KeyAddr:         "addr",
+	KeyLock:         "lock",
+	KeyReqBytes:     "req_bytes",
+	KeyRespBytes:    "resp_bytes",
+	KeyLiveBytes:    "live_bytes",
+	KeyCopiedObjs:   "copied_objs",
+	KeyFreedBytes:   "freed_bytes",
+	KeyWorkers:      "workers",
+	KeyLastDispatch: "last_dispatch",
+}
+
+// String returns the key's name as it appears in exported traces.
+func (k ArgKey) String() string { return argKeyNames[k] }
+
+// argKind is the type of an annotation's value.
+type argKind uint8
+
+const (
+	argU64 argKind = iota
+	argStr
+	argF64
+)
+
+// Arg is one typed event annotation; build it with U64, Str or F64.
 type Arg struct {
-	Key string
-	Val any
+	Key  ArgKey
+	kind argKind
+	num  uint64 // U64 value, or F64 bits
+	str  string
+}
+
+// U64 annotates an event with an unsigned integer.
+func U64(k ArgKey, v uint64) Arg { return Arg{Key: k, kind: argU64, num: v} }
+
+// Str annotates an event with a string. An event holds at most one.
+func Str(k ArgKey, v string) Arg { return Arg{Key: k, kind: argStr, str: v} }
+
+// F64 annotates an event with a float.
+func F64(k ArgKey, v float64) Arg { return Arg{Key: k, kind: argF64, num: math.Float64bits(v)} }
+
+// SetArgs stores args inline in the event, replacing any it held. It panics
+// on more than MaxArgs args or more than one Str: both are programming
+// errors at a fixed instrumentation site.
+func (e *Event) SetArgs(args ...Arg) {
+	if len(args) > MaxArgs {
+		panic("obs: too many event args")
+	}
+	e.nargs = uint8(len(args))
+	e.str = ""
+	strs := 0
+	for i := range args {
+		a := &args[i]
+		e.keys[i], e.kinds[i], e.vals[i] = a.Key, a.kind, a.num
+		if a.kind == argStr {
+			if strs++; strs > 1 {
+				panic("obs: more than one string arg on an event")
+			}
+			e.str = a.str
+		}
+	}
 }
 
 // Tracer records simulated-time events. A nil *Tracer is valid and
@@ -162,7 +260,7 @@ func (t *Tracer) admit(c Component) bool {
 // record stores an admitted event: always into the ring when one is
 // attached, and into the linear buffer unless this is a ring-only tracer or
 // the buffer is at its cap (counted as dropped).
-func (t *Tracer) record(e Event) {
+func (t *Tracer) record(e *Event) {
 	t.ring.Push(e)
 	if t.ringOnly {
 		return
@@ -171,7 +269,7 @@ func (t *Tracer) record(e Event) {
 		t.dropped++
 		return
 	}
-	t.events = append(t.events, e)
+	t.events = append(t.events, *e)
 }
 
 // Span records a complete [start, end) interval on track (t.Pid, tid).
@@ -182,10 +280,12 @@ func (t *Tracer) Span(c Component, name string, tid int, start, end uint64, args
 	if end < start {
 		end = start
 	}
-	t.record(Event{
-		Name: name, Comp: c, Phase: 'X', Pid: t.Pid, Tid: tid,
-		Time: start, Dur: end - start, Args: args,
-	})
+	e := Event{
+		Name: name, Comp: c, Phase: 'X', Pid: int32(t.Pid), Tid: int32(tid),
+		Time: start, Dur: end - start,
+	}
+	e.SetArgs(args...)
+	t.record(&e)
 }
 
 // Instant records a point event on track (t.Pid, tid).
@@ -193,9 +293,9 @@ func (t *Tracer) Instant(c Component, name string, tid int, at uint64, args ...A
 	if !t.admit(c) {
 		return
 	}
-	t.record(Event{
-		Name: name, Comp: c, Phase: 'i', Pid: t.Pid, Tid: tid, Time: at, Args: args,
-	})
+	e := Event{Name: name, Comp: c, Phase: 'i', Pid: int32(t.Pid), Tid: int32(tid), Time: at}
+	e.SetArgs(args...)
+	t.record(&e)
 }
 
 // Len returns the number of recorded events.
@@ -325,23 +425,21 @@ func formatEvent(e *Event) string {
 	if e.Phase == 'i' {
 		b.WriteString(`,"s":"t"`)
 	}
-	if len(e.Args) > 0 {
+	if e.nargs > 0 {
 		b.WriteString(`,"args":{`)
-		for i, a := range e.Args {
+		for i := 0; i < int(e.nargs); i++ {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(quoteJSON(a.Key))
+			b.WriteString(quoteJSON(e.keys[i].String()))
 			b.WriteByte(':')
-			switch v := a.Val.(type) {
-			case string:
-				b.WriteString(quoteJSON(v))
-			case float64:
-				fmt.Fprintf(&b, "%g", v)
-			case bool:
-				fmt.Fprintf(&b, "%v", v)
+			switch e.kinds[i] {
+			case argStr:
+				b.WriteString(quoteJSON(e.str))
+			case argF64:
+				fmt.Fprintf(&b, "%g", math.Float64frombits(e.vals[i]))
 			default:
-				fmt.Fprintf(&b, "%d", v)
+				fmt.Fprintf(&b, "%d", e.vals[i])
 			}
 		}
 		b.WriteByte('}')

@@ -812,7 +812,7 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 						}
 						e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
 							next.lockBlockedAt, grant,
-							obs.Arg{Key: "kind", Val: kind}, obs.Arg{Key: "lock", Val: it.ID})
+							obs.Str(obs.KeyKind, kind), obs.U64(obs.KeyLock, it.ID))
 					}
 				}
 				e.wakeAt(next, grant)
@@ -861,7 +861,7 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 					if e.tracer.Enabled(obs.CompOS) {
 						e.tracer.Span(obs.CompOS, "lock.wait", threadTrackBase+next.id,
 							next.lockBlockedAt, grant,
-							obs.Arg{Key: "kind", Val: "sem"}, obs.Arg{Key: "lock", Val: it.ID})
+							obs.Str(obs.KeyKind, "sem"), obs.U64(obs.KeyLock, it.ID))
 					}
 				}
 				e.wakeAt(next, grant)
@@ -902,9 +902,9 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 				}
 				if e.tracer.Enabled(obs.CompNet) {
 					e.tracer.Span(obs.CompNet, "net.call", threadTrackBase+th.id, t, done,
-						obs.Arg{Key: "peer", Val: uint64(it.Peer)},
-						obs.Arg{Key: "req_bytes", Val: it.ID},
-						obs.Arg{Key: "resp_bytes", Val: uint64(it.Aux)})
+						obs.U64(obs.KeyPeer, uint64(it.Peer)),
+						obs.U64(obs.KeyReqBytes, it.ID),
+						obs.U64(obs.KeyRespBytes, uint64(it.Aux)))
 				}
 				e.wakeAt(th, done)
 			}
@@ -1081,10 +1081,10 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 			name = "gc.major"
 		}
 		e.tracer.Span(obs.CompJVM, name, c, stwStart, stwEnd,
-			obs.Arg{Key: "live_bytes", Val: gc.LiveBytes},
-			obs.Arg{Key: "copied_objs", Val: gc.CopiedObjs},
-			obs.Arg{Key: "freed_bytes", Val: gc.FreedBytes},
-			obs.Arg{Key: "workers", Val: uint64(len(workers))})
+			obs.U64(obs.KeyLiveBytes, gc.LiveBytes),
+			obs.U64(obs.KeyCopiedObjs, gc.CopiedObjs),
+			obs.U64(obs.KeyFreedBytes, gc.FreedBytes),
+			obs.U64(obs.KeyWorkers, uint64(len(workers))))
 	}
 	return stwEnd
 }

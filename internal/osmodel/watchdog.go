@@ -98,7 +98,7 @@ func (e *Engine) checkWatchdog(t uint64) bool {
 		PendingEvents: len(e.events),
 	}
 	e.tracer.Instant(obs.CompFault, "watchdog."+reason, 0, t,
-		obs.Arg{Key: "last_dispatch", Val: e.lastDispatch})
+		obs.U64(obs.KeyLastDispatch, e.lastDispatch))
 	return true
 }
 
