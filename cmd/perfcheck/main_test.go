@@ -129,7 +129,7 @@ func TestFlightGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok := ratio <= 1.05; ok != c.ok {
+		if ok := ratio <= flightMaxRatio; ok != c.ok {
 			t.Errorf("%s: ratio %.3f ok=%v, want ok=%v", c.name, ratio, ok, c.ok)
 		}
 	}

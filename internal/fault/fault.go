@@ -314,8 +314,7 @@ func (inj *Injector) AttachTracer(t *obs.Tracer, tid int) {
 	inj.tracer = t
 	inj.tid = tid
 	for _, e := range inj.sched.Events {
-		var buf [3]obs.Arg
-		args := append(buf[:0], obs.Str(obs.KeyKind, e.Kind.String()))
+		args := []obs.Arg{obs.Str(obs.KeyKind, e.Kind.String())}
 		if e.Peer != 0 {
 			args = append(args, obs.U64(obs.KeyPeer, uint64(e.Peer)))
 		}

@@ -41,7 +41,7 @@ import (
 // Defaults for Options' zero values.
 const (
 	// DefaultRingEvents bounds the event ring: 104 B per event with its
-	// arguments inline, so at most 6.8 MB, allocated as the ring fills.
+	// arguments inline, so 6.8 MB, allocated when the recorder is built.
 	DefaultRingEvents = 65536
 	// DefaultWindowCycles is one simulated second at the 250 MHz clock.
 	DefaultWindowCycles = 250_000_000

@@ -9,25 +9,18 @@ package obs
 //
 // A nil *EventRing is valid and inert.
 type EventRing struct {
-	// chunks hold the events, ringChunk slots each. They are allocated as
-	// the ring first fills, so building a ring costs nothing up front and a
-	// ring that never fills holds only what it was given.
-	chunks   [][]Event
-	capacity int
-	n        int // events held
-	next     int // once full: the oldest event's slot, overwritten next
-	evicted  uint64
+	buf     []Event
+	next    int
+	full    bool
+	evicted uint64
 }
-
-// ringChunk is the ring's allocation unit in events (416 KiB).
-const ringChunk = 4096
 
 // NewEventRing returns a ring holding at most capacity events (minimum 1).
 func NewEventRing(capacity int) *EventRing {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &EventRing{capacity: capacity}
+	return &EventRing{buf: make([]Event, 0, capacity)}
 }
 
 // Push copies an event into the ring, evicting the oldest when the ring is
@@ -36,22 +29,20 @@ func (r *EventRing) Push(e *Event) {
 	if r == nil {
 		return
 	}
-	i := r.n
-	if r.n < r.capacity {
-		r.n++
-	} else {
-		i = r.next
-		r.next++
-		if r.next == r.capacity {
+	if !r.full {
+		r.buf = append(r.buf, *e)
+		if len(r.buf) == cap(r.buf) {
+			r.full = true
 			r.next = 0
 		}
-		r.evicted++
+		return
 	}
-	c := i / ringChunk
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, make([]Event, min(ringChunk, r.capacity-i)))
+	r.buf[r.next] = *e
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
 	}
-	r.chunks[c][i%ringChunk] = *e
+	r.evicted++
 }
 
 // Len returns the number of events currently held.
@@ -59,7 +50,7 @@ func (r *EventRing) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.n
+	return len(r.buf)
 }
 
 // Cap returns the ring's capacity.
@@ -67,7 +58,7 @@ func (r *EventRing) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return r.capacity
+	return cap(r.buf)
 }
 
 // Evicted returns how many events were overwritten by newer ones.
@@ -83,19 +74,28 @@ func (r *EventRing) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return uint64(r.n) + r.evicted
+	return uint64(len(r.buf)) + r.evicted
 }
 
 // Events returns the held events oldest-first (a copy; the ring keeps
 // recording).
 func (r *EventRing) Events() []Event {
-	if r == nil || r.n == 0 {
+	if r == nil || len(r.buf) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, r.n)
-	for k := 0; k < r.n; k++ {
-		i := (r.next + k) % r.capacity // next is 0 until the ring wraps
-		out = append(out, r.chunks[i/ringChunk][i%ringChunk])
+	out := make([]Event, 0, len(r.buf))
+	if r.full {
+		out = append(out, r.buf[r.next:]...)
 	}
+	out = append(out, r.buf[:r.nextOr(len(r.buf))]...)
 	return out
+}
+
+// nextOr returns the write cursor, or n before the ring first fills (the
+// cursor is only meaningful once wrapping starts).
+func (r *EventRing) nextOr(n int) int {
+	if r.full {
+		return r.next
+	}
+	return n
 }

@@ -36,38 +36,6 @@ func TestEventRingEviction(t *testing.T) {
 	}
 }
 
-// TestEventRingChunks checks a ring spanning several allocation chunks,
-// with a short last chunk: storage grows only as the ring fills, and after
-// wrapping Events still returns the newest capacity events oldest-first.
-func TestEventRingChunks(t *testing.T) {
-	const capacity = 2*ringChunk + 5
-	r := NewEventRing(capacity)
-	if len(r.chunks) != 0 {
-		t.Fatalf("new ring allocated %d chunks, want 0", len(r.chunks))
-	}
-	r.Push(&Event{Time: 0})
-	if len(r.chunks) != 1 {
-		t.Fatalf("one push allocated %d chunks, want 1", len(r.chunks))
-	}
-	const pushed = 3*ringChunk + 7
-	for i := uint64(1); i < pushed; i++ {
-		r.Push(&Event{Time: i})
-	}
-	if got := len(r.chunks[len(r.chunks)-1]); len(r.chunks) != 3 || got != 5 {
-		t.Fatalf("%d chunks, last of %d events; want 3, last of 5", len(r.chunks), got)
-	}
-	if r.Len() != capacity || r.Evicted() != pushed-capacity || r.Total() != pushed {
-		t.Fatalf("len %d evicted %d total %d, want %d %d %d",
-			r.Len(), r.Evicted(), r.Total(), capacity, pushed-capacity, pushed)
-	}
-	evs := r.Events()
-	for i, e := range evs {
-		if want := uint64(pushed - capacity + i); e.Time != want {
-			t.Fatalf("Events[%d].Time = %d, want %d", i, e.Time, want)
-		}
-	}
-}
-
 func TestEventRingMinCapacityAndNil(t *testing.T) {
 	r := NewEventRing(0)
 	if r.Cap() != 1 {
