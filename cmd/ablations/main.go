@@ -21,12 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/report"
 )
 
@@ -61,21 +59,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	sess, err := core.NewSession("ablations", ofl, hp, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ablations:", err)
 		os.Exit(1)
 	}
-	defer hp.Stop()
+	defer sess.Close()
 
 	o := core.DefaultAblationOpts()
 	if *quick {
 		o = core.QuickAblationOpts()
 	}
 	o.MemModel = memModel
-
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "ablations", ofl.Heartbeat)
-	defer hb.Stop()
 
 	want := func(n string) bool { return *which == "" || *which == n }
 	if want("ism") {
@@ -97,63 +92,24 @@ func main() {
 		report.Render(os.Stdout, core.CoSimExperiment(o))
 	}
 
-	if ofl.Enabled() {
-		// One fully-observed point per workload at the studies' shape, the
-		// same semantics as cmd/figures' observed runs.
-		runOpts := core.Opts{
-			WarmupCycles:  o.WarmupCycles,
-			MeasureCycles: o.MeasureCycles,
-			MemModel:      o.MemModel,
-		}
-		var insp *obs.Inspector
-		if ofl.Inspect != "" {
-			var err error
-			insp, err = obs.StartInspector(ofl.Inspect, "ablations", hb)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "starting inspector: %v\n", err)
-				os.Exit(1)
-			}
-			defer insp.Close()
-			fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
-		}
-		var observers []*obs.Observer
-		var snaps []*obs.Snapshot
-		var labels []string
-		for i, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
-			fmt.Fprintf(os.Stderr, "observed run: %s, %d processors, seed %d...\n", kind, o.Processors, o.Seed)
-			ob := ofl.NewObserver(i)
-			ob.Inspect = insp
-			insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, o.Processors))
-			ob, rec := flightrec.FromFlags(ofl, "ablations-"+kind.String(), ob)
-			rec.SetInspector(insp)
-			rt, err := core.NewLatencyCollector(ofl)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ablations:", err)
-				os.Exit(1)
-			}
-			_, snap := core.RunObservedPointFlight(kind, o.Processors, o.Seed, runOpts, ob, rt, rec)
-			if s := rec.Summary(); s != "" {
-				fmt.Fprintln(os.Stderr, s)
-			}
-			observers = append(observers, ob)
-			snaps = append(snaps, snap)
-			labels = append(labels, kind.String())
-		}
-		m := &obs.Manifest{
-			Command: "ablations",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{o.Seed},
-			Opts: map[string]any{
-				"ablation": o,
-				"observed": map[string]any{"processors": o.Processors, "seed": o.Seed},
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, snaps, m); err != nil {
-			fmt.Fprintf(os.Stderr, "writing observability artifacts: %v\n", err)
-			os.Exit(1)
-		}
+	// One fully-observed point per workload at the studies' shape when
+	// artifacts were asked for, the same semantics as cmd/figures.
+	sess.ObservePoints(o.Processors, o.Seed, core.Opts{
+		WarmupCycles:  o.WarmupCycles,
+		MeasureCycles: o.MeasureCycles,
+		MemModel:      o.MemModel,
+	})
+	err = sess.Finish(obs.Manifest{
+		Args:  os.Args[1:],
+		Seeds: []uint64{o.Seed},
+		Opts: map[string]any{
+			"ablation": o,
+			"observed": map[string]any{"processors": o.Processors, "seed": o.Seed},
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		sess.Close()
+		os.Exit(1)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 )
 
 // appFlags is the full flag surface; registerFlags keeps it testable (the
@@ -59,20 +58,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	sess, err := core.NewSession("calibrate", ofl, hp, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
-	defer hp.Stop()
+	defer sess.Close()
 
 	o := core.QuickOpts()
 	o.MeasureCycles = *measure
 	o.MemModel = memModel
 
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "calibrate", ofl.Heartbeat)
-	defer hb.Stop()
-	o.Progress = hb
+	o.Progress = sess.Progress
 
 	procs := []int{1, 2, 4, 8, 12, 15}
 	for _, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
@@ -87,61 +84,21 @@ func main() {
 		}
 	}
 
-	if ofl.Enabled() {
-		// One fully-observed point per workload at the largest sweep shape,
-		// the same semantics as cmd/figures' observed runs.
-		obsProcs := procs[len(procs)-1]
-		var insp *obs.Inspector
-		if ofl.Inspect != "" {
-			var err error
-			insp, err = obs.StartInspector(ofl.Inspect, "calibrate", hb)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "starting inspector: %v\n", err)
-				os.Exit(1)
-			}
-			defer insp.Close()
-			fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", insp.Addr())
-		}
-		var observers []*obs.Observer
-		var snaps []*obs.Snapshot
-		var labels []string
-		for i, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
-			fmt.Fprintf(os.Stderr, "observed run: %s, %d processors, seed %d...\n", kind, obsProcs, *seed)
-			ob := ofl.NewObserver(i)
-			ob.Inspect = insp
-			insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, obsProcs))
-			ob, rec := flightrec.FromFlags(ofl, "calibrate-"+kind.String(), ob)
-			rec.SetInspector(insp)
-			rt, err := core.NewLatencyCollector(ofl)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "calibrate:", err)
-				os.Exit(1)
-			}
-			_, snap := core.RunObservedPointFlight(kind, obsProcs, *seed, o, ob, rt, rec)
-			if s := rec.Summary(); s != "" {
-				fmt.Fprintln(os.Stderr, s)
-			}
-			observers = append(observers, ob)
-			snaps = append(snaps, snap)
-			labels = append(labels, kind.String())
-		}
-		manifestOpts := o
-		manifestOpts.Progress = nil
-		m := &obs.Manifest{
-			Command: "calibrate",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{*seed},
-			Opts: map[string]any{
-				"sweep":    manifestOpts,
-				"observed": map[string]any{"processors": obsProcs, "seed": *seed},
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, snaps, m); err != nil {
-			fmt.Fprintf(os.Stderr, "writing observability artifacts: %v\n", err)
-			os.Exit(1)
-		}
+	// One fully-observed point per workload at the largest sweep shape when
+	// artifacts were asked for, the same semantics as cmd/figures.
+	obsProcs := procs[len(procs)-1]
+	sess.ObservePoints(obsProcs, *seed, o)
+	err = sess.Finish(obs.Manifest{
+		Args:  os.Args[1:],
+		Seeds: []uint64{*seed},
+		Opts: map[string]any{
+			"sweep":    o,
+			"observed": map[string]any{"processors": obsProcs, "seed": *seed},
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		sess.Close()
+		os.Exit(1)
 	}
 }

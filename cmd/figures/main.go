@@ -38,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
@@ -92,11 +91,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(stderr, err)
+	sess, err := core.NewSession("figures", ofl, hp, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
 		return 1
 	}
-	defer hp.Stop()
+	defer sess.Close()
 
 	opts := core.DefaultOpts()
 	sweepOpts := core.DefaultSweepOpts()
@@ -119,10 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// 12/13) count misses, not cycles.
 	opts.MemModel = memModel
 
-	hb := obs.StartHeartbeat(stderr, "figures", ofl.Heartbeat)
-	defer hb.Stop()
-	opts.Progress = hb
-	sweepOpts.Progress = hb
+	opts.Progress = sess.Progress
+	sweepOpts.Progress = sess.Progress
 
 	want := func(n int) bool { return *fig == 0 || *fig == n }
 	emitted := 0
@@ -235,70 +233,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if ofl.Enabled() {
-		// One fully-observed point per workload: the largest sweep point,
-		// first seed. Workloads are kept apart by pid on the trace timeline
-		// and by scope in the folded profile.
-		procs := opts.Procs[len(opts.Procs)-1]
-		seed := opts.Seeds[0]
-		var insp *obs.Inspector
-		if ofl.Inspect != "" {
-			var err error
-			insp, err = obs.StartInspector(ofl.Inspect, "figures", hb)
-			if err != nil {
-				fmt.Fprintf(stderr, "starting inspector: %v\n", err)
-				return 1
-			}
-			defer insp.Close()
-			fmt.Fprintf(stderr, "inspector listening on http://%s\n", insp.Addr())
-		}
-		var observers []*obs.Observer
-		var snaps []*obs.Snapshot
-		var labels []string
-		for i, kind := range []core.Kind{core.SPECjbb, core.ECperf} {
-			fmt.Fprintf(stderr, "observed run: %s, %d processors, seed %d...\n", kind, procs, seed)
-			ob := ofl.NewObserver(i)
-			ob.Inspect = insp
-			insp.SetNote(fmt.Sprintf("observed run: %s, %d processors", kind, procs))
-			// The flight recorder rides each observed point (one recorder per
-			// workload, so dumps never mix timelines); the unobserved sweep
-			// cells stay recorder-free, keeping the figure pipeline identical
-			// to what the perf gate times.
-			ob, rec := flightrec.FromFlags(ofl, "figures-"+kind.String(), ob)
-			rec.SetInspector(insp)
-			// Each observed run gets its own latency collector; the -latency
-			// artifact keys the reports by workload label.
-			rt, err := core.NewLatencyCollector(ofl)
-			if err != nil {
-				fmt.Fprintln(stderr, "figures:", err)
-				return 1
-			}
-			_, snap := core.RunObservedPointFlight(kind, procs, seed, opts, ob, rt, rec)
-			if s := rec.Summary(); s != "" {
-				fmt.Fprintln(stderr, s)
-			}
-			observers = append(observers, ob)
-			snaps = append(snaps, snap)
-			labels = append(labels, kind.String())
-		}
-		manifestOpts := opts
-		manifestOpts.Progress = nil
-		m := &obs.Manifest{
-			Command: "figures",
-			Args:    args,
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   opts.Seeds,
-			Opts: map[string]any{
-				"scaling":  manifestOpts,
-				"observed": map[string]any{"processors": procs, "seed": seed},
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts(labels, observers, snaps, m); err != nil {
-			fmt.Fprintf(stderr, "writing observability artifacts: %v\n", err)
-			return 1
-		}
+	// One fully-observed point per workload when artifacts were asked for:
+	// the largest sweep point, first seed.
+	procs, seed := opts.Procs[len(opts.Procs)-1], opts.Seeds[0]
+	sess.ObservePoints(procs, seed, opts)
+	err = sess.Finish(obs.Manifest{
+		Args:  args,
+		Seeds: opts.Seeds,
+		Opts: map[string]any{
+			"scaling":  opts,
+			"observed": map[string]any{"processors": procs, "seed": seed},
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	fmt.Fprintf(stderr, "done: %d figure renderings in %s\n", emitted, time.Since(start).Round(time.Second))

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -37,7 +38,8 @@ func runFigures(t *testing.T, args ...string) (stdout, stderr string, code int) 
 // global-work-queue mode must be byte-identical to -serial (the old
 // one-sweep-at-a-time order) — for the full set and for every individual
 // figure. Figures render after the queue drains, in serial figure order,
-// so completion order must never leak into the output.
+// so completion order must never leak into the output. The full quick set
+// must also match the committed results/figures_quick.txt.
 func TestParallelMatchesSerial(t *testing.T) {
 	figs := []string{"0"}
 	if !testing.Short() {
@@ -56,6 +58,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			if par != ser {
 				t.Fatalf("-fig %s: parallel stdout differs from -serial (%d vs %d bytes)", fig, len(par), len(ser))
+			}
+			if fig == "0" {
+				// The whole quick set is pinned to the committed golden;
+				// regenerate it only for an intended output change with
+				// go run ./cmd/figures -quick > results/figures_quick.txt
+				want, err := os.ReadFile("../../results/figures_quick.txt")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if par != string(want) {
+					t.Fatalf("-quick stdout differs from results/figures_quick.txt (%d vs %d bytes)", len(par), len(want))
+				}
 			}
 		})
 	}

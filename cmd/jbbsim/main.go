@@ -23,208 +23,111 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/memsys"
-	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/report"
 )
 
 // appFlags is the full flag surface; registerFlags keeps it testable (the
 // flag-parity test registers onto a scratch FlagSet).
 type appFlags struct {
-	procs, whs            *int
-	seed, warmup, measure *uint64
-	watchdog              *uint64
-	ckptPath, resume      *string
-	ckptEvery             *uint64
-	memmodel              *string
-	ofl                   obs.Flags
-	hp                    obs.HostProfile
+	procs, whs *int
+	core.RunFlags
 }
 
 func registerFlags(fs *flag.FlagSet) *appFlags {
 	af := &appFlags{
-		procs:     fs.Int("p", 8, "processor-set size (1-16)"),
-		whs:       fs.Int("w", 0, "warehouses (0 = processors, the tuned value)"),
-		seed:      fs.Uint64("seed", 20030208, "simulation seed"),
-		warmup:    fs.Uint64("warmup", 12_000_000, "warm-up cycles (excluded)"),
-		measure:   fs.Uint64("measure", 50_000_000, "measurement window in cycles"),
-		watchdog:  fs.Uint64("watchdog", 0, "abort when the run makes no progress for N simulated cycles (0 = off)"),
-		ckptPath:  fs.String("checkpoint", "", "write a resumable checkpoint to FILE"),
-		ckptEvery: fs.Uint64("checkpoint-every", 0, "checkpoint cadence in cycles (0 = only at the end)"),
-		resume:    fs.String("resume", "", "resume from checkpoint FILE (run parameters come from the checkpoint)"),
-		memmodel:  fs.String("memmodel", "fixed", "memory timing model: fixed (unloaded scalar latencies) or loaded (bandwidth-latency curve)"),
+		procs: fs.Int("p", 8, "processor-set size (1-16)"),
+		whs:   fs.Int("w", 0, "warehouses (0 = processors, the tuned value)"),
 	}
-	af.ofl.Register(fs)
-	af.hp.Register(fs)
+	af.RunFlags.Register(fs)
 	return af
 }
 
 func main() {
-	af := registerFlags(flag.CommandLine)
-	flag.Parse()
-	procs, whs, seed, warmup, measure := af.procs, af.whs, af.seed, af.warmup, af.measure
-	watchdog, ckptPath, ckptEvery, resume := af.watchdog, af.ckptPath, af.ckptEvery, af.resume
-	ofl, hp := &af.ofl, &af.hp
-	memModel, err := memsys.ParseMemModel(*af.memmodel)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jbbsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	af := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "jbbsim:", err)
+		return 1
+	}
+	params, err := af.Params(core.SystemParams{Kind: core.SPECjbb, Processors: *af.procs, Scale: *af.whs})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	if err := hp.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer hp.Stop()
-
-	var ob *obs.Observer
-	if ofl.Enabled() {
-		ob = ofl.NewObserver(0)
-	}
-	ob, rec := flightrec.FromFlags(ofl, "jbbsim", ob)
-	rt, err := core.NewLatencyCollector(ofl)
+	sess, err := core.NewSession("jbbsim", &af.Obs, &af.Host, stderr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "jbbsim", ofl.Heartbeat)
-	// Stop is idempotent: the deferred call flushes a final progress line
-	// even when an error path exits early.
-	defer hb.Stop()
-	if ofl.Inspect != "" {
-		in, err := obs.StartInspector(ofl.Inspect, "jbbsim", hb)
-		if err != nil {
-			fatal(fmt.Errorf("starting inspector: %w", err))
-		}
-		defer in.Close()
-		ob.Inspect = in
-		rec.SetInspector(in)
-		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", in.Addr())
-	}
+	defer sess.Close()
 
-	var plan *core.CheckpointPlan
-	if *ckptPath != "" {
-		plan = &core.CheckpointPlan{Path: *ckptPath, Every: *ckptEvery, Command: "jbbsim"}
+	sys, obsRun, err := af.RunSystem(sess, params, "SPECjbb")
+	if err != nil {
+		return fail(err)
 	}
-
-	var sys *core.System
-	var delta *obs.Snapshot
-	if *resume != "" {
-		if rt != nil {
-			fmt.Fprintln(os.Stderr, "jbbsim: -latency/-slo ignored with -resume (spans cannot be reconstructed mid-run)")
-			rt = nil
-		}
-		cp, err := core.LoadCheckpoint(*resume)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "resuming %s run at cycle %d (verifying replay)\n", cp.Params.Kind, cp.Cycle)
-		sys, err = core.ResumeRun(cp, hb, *measure, plan)
-		if err != nil {
-			fatal(err)
-		}
-		*warmup = cp.Warmup
-	} else {
-		sys = core.BuildSystem(core.SystemParams{
-			Kind:           core.SPECjbb,
-			Processors:     *procs,
-			Scale:          *whs,
-			Seed:           *seed,
-			WatchdogCycles: *watchdog,
-			MemModel:       memModel,
-		})
-		core.AttachLatency(sys, ob, rt)
-		core.AttachFlight(sys, rec)
-		var err error
-		delta, err = core.ObserveRunCheckpointed(sys, ob, hb, *warmup, *measure, plan)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	hb.Stop()
 	if wd := sys.Engine.WatchdogTripped(); wd != nil {
-		fmt.Fprintf(os.Stderr, "watchdog tripped:\n%s\n", wd)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "watchdog tripped:\n%s\n", wd)
+		return 2
 	}
-	eng := sys.Engine
-	res := eng.Results()
+	res := sys.Engine.Results()
 
-	seconds := float64(*measure) / core.CyclesPerSecond
-	fmt.Printf("SPECjbb: %d processors, %d warehouses, %.0f ms measured\n",
+	seconds := float64(af.Measure) / core.CyclesPerSecond
+	fmt.Fprintf(stdout, "SPECjbb: %d processors, %d warehouses, %.0f ms measured\n",
 		sys.Params.Processors, sys.Params.Scale, seconds*1000)
-	fmt.Printf("throughput        %10.0f transactions/s\n", float64(res.BusinessOps)/seconds)
-	fmt.Printf("transactions      %10d\n", res.BusinessOps)
+	fmt.Fprintf(stdout, "throughput        %10.0f transactions/s\n", float64(res.BusinessOps)/seconds)
+	fmt.Fprintf(stdout, "transactions      %10d\n", res.BusinessOps)
 	tags := make([]string, 0, len(res.OpsByTag))
 	for tag := range res.OpsByTag {
 		tags = append(tags, tag)
 	}
 	sort.Strings(tags)
 	for _, tag := range tags {
-		fmt.Printf("  %-15s %10d\n", tag, res.OpsByTag[tag])
+		fmt.Fprintf(stdout, "  %-15s %10d\n", tag, res.OpsByTag[tag])
 	}
 	total := float64(res.Modes.Total())
-	fmt.Printf("modes: user %.1f%%  system %.1f%%  i/o %.1f%%  idle %.1f%%  gc-idle %.1f%%\n",
+	fmt.Fprintf(stdout, "modes: user %.1f%%  system %.1f%%  i/o %.1f%%  idle %.1f%%  gc-idle %.1f%%\n",
 		100*float64(res.Modes.User)/total, 100*float64(res.Modes.System)/total,
 		100*float64(res.Modes.IOWait)/total, 100*float64(res.Modes.Idle)/total,
 		100*float64(res.Modes.GCIdle)/total)
 	c := res.CPU
 	if c.Instructions > 0 {
 		in := float64(c.Instructions)
-		fmt.Printf("CPI %.3f (other %.3f, i-stall %.3f, d-stall %.3f)\n",
+		fmt.Fprintf(stdout, "CPI %.3f (other %.3f, i-stall %.3f, d-stall %.3f)\n",
 			float64(c.Total())/in, float64(c.BaseCycles)/in,
 			float64(c.IStallCycles)/in, float64(c.DStall())/in)
 	}
 	bs := sys.Hier.Bus().Stats
-	fmt.Printf("bus: GetS %d  GetM %d  upgrades %d  c2c %d (ratio %.1f%%)  memory %d  writebacks %d\n",
+	fmt.Fprintf(stdout, "bus: GetS %d  GetM %d  upgrades %d  c2c %d (ratio %.1f%%)  memory %d  writebacks %d\n",
 		bs.GetS, bs.GetM, bs.Upgrades, bs.C2CTransfers, 100*bs.C2CRatio(), bs.MemTransfers, bs.Writebacks)
 	if ls, ok := sys.Hier.LoadSnapshot(); ok {
 		// Only under -memmodel loaded, keeping fixed-mode stdout byte-stable.
-		fmt.Printf("memmodel loaded: util %.2f  mem x%.2f  c2c x%.2f  extra stall %d cycles  interventions %d\n",
+		fmt.Fprintf(stdout, "memmodel loaded: util %.2f  mem x%.2f  c2c x%.2f  extra stall %d cycles  interventions %d\n",
 			ls.Util, ls.MemMult, ls.C2CMult, ls.MemExtraCycles+ls.C2CExtraCycles, ls.Interventions)
 	}
-	fmt.Printf("gc: %d collections, %.1f%% of wall time; heap live %0.1f MB\n",
-		res.GCCount, 100*float64(res.GCWall)/float64(*measure),
+	fmt.Fprintf(stdout, "gc: %d collections, %.1f%% of wall time; heap live %0.1f MB\n",
+		res.GCCount, 100*float64(res.GCWall)/float64(af.Measure),
 		float64(sys.Heap.Stats.LiveAfterLastGC)/(1<<20))
-	if ckpt := *ckptPath; ckpt != "" {
-		fmt.Printf("checkpoint: saved to %s (resume with -resume %s)\n", ckpt, ckpt)
+	if ckpt := af.Checkpoint; ckpt != "" {
+		fmt.Fprintf(stdout, "checkpoint: saved to %s (resume with -resume %s)\n", ckpt, ckpt)
 	}
-	if ob != nil && ob.Attr != nil {
-		fmt.Println()
-		report.AttrSummary(os.Stdout, ob.Attr.BuildReport(ofl.AttrTop))
-	}
-	if rt != nil {
-		fmt.Println()
-		report.LatencySummary(os.Stdout, rt.BuildReport())
-	}
+	report.RunSummaries(stdout, obsRun, af.Obs.AttrTop)
 
-	if ofl.Enabled() {
-		m := &obs.Manifest{
-			Command: "jbbsim",
-			Args:    os.Args[1:],
-			Git:     obs.GitDescribe(),
-			Started: start,
-			Seeds:   []uint64{*seed},
-			Opts: map[string]any{
-				"processors": sys.Params.Processors, "warehouses": sys.Params.Scale,
-				"warmup_cycles": *warmup, "measure_cycles": *measure,
-			},
-			WallSeconds: time.Since(start).Seconds(),
-		}
-		if err := ofl.WriteArtifacts([]string{"SPECjbb"}, []*obs.Observer{ob}, []*obs.Snapshot{delta}, m); err != nil {
-			fatal(fmt.Errorf("writing observability artifacts: %w", err))
-		}
+	m := af.Manifest(args, map[string]any{"processors": sys.Params.Processors, "warehouses": sys.Params.Scale})
+	if err := sess.Finish(m); err != nil {
+		return fail(err)
 	}
-	if s := rec.Summary(); s != "" {
-		fmt.Fprintln(os.Stderr, s)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "jbbsim:", err)
-	os.Exit(1)
+	return 0
 }

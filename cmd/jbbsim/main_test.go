@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
 	"testing"
 
 	"repro/internal/obs"
@@ -20,5 +22,24 @@ func TestFlagParity(t *testing.T) {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
+	}
+}
+
+// TestGolden pins stdout of a short run to the committed golden.
+// Regenerate it only for an intended output change:
+//
+//	go run ./cmd/jbbsim -p 2 -warmup 2000000 -measure 12000000 > cmd/jbbsim/testdata/p2.golden
+func TestGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/p2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	code := run([]string{"-p", "2", "-warmup", "2000000", "-measure", "12000000", "-flight", t.TempDir()}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errw.String())
+	}
+	if out.String() != string(want) {
+		t.Fatalf("stdout differs from testdata/p2.golden:\n%s", out.String())
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/arrival"
 	"repro/internal/cluster"
@@ -389,10 +388,11 @@ func main() {
 	flag.Parse()
 	ofl, hp := &af.ofl, &af.hp
 
-	if err := hp.Start(); err != nil {
+	sess, err := core.NewSession("loadsim", ofl, hp, os.Stderr)
+	if err != nil {
 		fatal(err)
 	}
-	defer hp.Stop()
+	defer sess.Close()
 	for _, inert := range []struct{ name, val string }{
 		{"-trace", ofl.Trace}, {"-metrics", ofl.Metrics},
 		{"-profile", ofl.Profile}, {"-attr", ofl.Attr},
@@ -432,13 +432,11 @@ func main() {
 		return reqtrace.NewCollector(reqtrace.Options{}), nil
 	}
 
-	start := time.Now()
-	hb := obs.StartHeartbeat(os.Stderr, "loadsim", ofl.Heartbeat)
-	defer hb.Stop()
+	hb := sess.Progress
 	if hb != nil {
 		hb.TotalRuns = uint64(len(mults) * len(modes))
 	}
-	lv := live{hb: hb}
+	lv := live{hb: hb, insp: sess.Inspect}
 	// The flight recorder rides the highest-load controls-on cell — the same
 	// one the -latency report describes. No engine here, so its ring carries
 	// only synthesized fault windows; the brown-out and SLO-burn triggers are
@@ -456,16 +454,7 @@ func main() {
 			lv.recMult = m
 		}
 	}
-	if ofl.Inspect != "" {
-		in, err := obs.StartInspector(ofl.Inspect, "loadsim", hb)
-		if err != nil {
-			fatal(fmt.Errorf("starting inspector: %w", err))
-		}
-		defer in.Close()
-		lv.insp = in
-		lv.rec.SetInspector(in)
-		fmt.Fprintf(os.Stderr, "inspector listening on http://%s\n", in.Addr())
-	}
+	lv.rec.SetInspector(sess.Inspect)
 
 	pts, err := runSweep(os.Stdout, cfg, mults, modes, *af.seed, *af.horizon, sched, newColl, lv)
 	if err != nil {
@@ -507,7 +496,6 @@ func main() {
 	if s := lv.rec.Summary(); s != "" {
 		fmt.Fprintln(os.Stderr, s)
 	}
-	_ = start
 }
 
 func fatal(err error) {

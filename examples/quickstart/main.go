@@ -22,11 +22,10 @@ func main() {
 	})
 
 	// Warm the caches, then measure a clean window (the paper reports
-	// steady-state intervals only).
+	// steady-state intervals only): core.Run resets every statistic at the
+	// warm-up boundary.
 	const warmup, window = 10_000_000, 25_000_000
-	sys.Engine.Run(warmup)
-	sys.Engine.ResetStats()
-	sys.Engine.Run(warmup + window)
+	core.Run(sys, core.RunSpec{Warmup: warmup, Measure: window})
 
 	res := sys.Engine.Results()
 	seconds := float64(window) / core.CyclesPerSecond

@@ -4,10 +4,11 @@
 // SystemParams (seed included) — so a checkpoint does not serialize the
 // machine state. It records the *recipe* (params, phase boundaries, the
 // cycle reached) plus a fingerprint of the run's observable state at that
-// cycle. Restore rebuilds the system and replays it to the checkpoint
-// cycle, then verifies the fingerprint: a resumed run is bit-identical to
-// one that never stopped, and any drift (changed code, changed schedule,
-// corrupted file) is detected instead of silently producing wrong curves.
+// cycle. Resuming (RunSpec.Resume) rebuilds the system and replays it
+// under the same run loop, verifying the fingerprint at the checkpoint
+// cycle: a resumed run is bit-identical to one that never stopped, and any
+// drift (changed code, changed schedule, corrupted file) is detected
+// instead of silently producing wrong curves.
 package core
 
 import (
@@ -136,62 +137,4 @@ func (p *CheckpointPlan) save(sys *System, warmup, ranTo uint64) error {
 		return nil
 	}
 	return Capture(sys, warmup, ranTo, p.Command).Save(p.Path)
-}
-
-// Resume rebuilds the checkpointed system and replays it to the checkpoint
-// cycle, reproducing the warmup/reset discipline, then verifies the state
-// fingerprint. The returned system continues exactly where the original
-// would have: determinism makes the replayed prefix bit-identical.
-func Resume(cp Checkpoint) (*System, error) {
-	sys := BuildSystem(cp.Params)
-	if cp.Warmup > 0 {
-		sys.Engine.Run(cp.Warmup)
-		sys.Engine.ResetStats()
-	}
-	sys.Engine.Run(cp.Cycle)
-	if got := Fingerprint(sys); got != cp.Digest {
-		return nil, fmt.Errorf("checkpoint replay diverged at cycle %d: fingerprint %#x, want %#x (code or schedule changed since the checkpoint was written?)",
-			cp.Cycle, got, cp.Digest)
-	}
-	return sys, nil
-}
-
-// ResumeRun resumes a checkpointed run and drives it to the end of its
-// measurement window (cp.Warmup + measure), reporting progress on hb and
-// saving further checkpoints per plan. It returns the finished system, ready
-// for results reporting; a checkpoint already at or past the target resumes
-// and returns immediately.
-func ResumeRun(cp Checkpoint, hb *obs.Heartbeat, measure uint64, plan *CheckpointPlan) (*System, error) {
-	sys, err := Resume(cp)
-	if err != nil {
-		return nil, err
-	}
-	const slice = 2_000_000
-	target := cp.Warmup + measure
-	nextSave := uint64(0)
-	if plan != nil && plan.Every > 0 {
-		nextSave = cp.Cycle + plan.Every
-	}
-	for t := cp.Cycle; t < target; {
-		t += slice
-		if t > target {
-			t = target
-		}
-		sys.Engine.Run(t)
-		hb.SetCycles(t)
-		if nextSave > 0 && t >= nextSave {
-			if err := plan.save(sys, cp.Warmup, t); err != nil {
-				return nil, err
-			}
-			for nextSave <= t {
-				nextSave += plan.Every
-			}
-		}
-	}
-	if cp.Cycle < target {
-		if err := plan.save(sys, cp.Warmup, target); err != nil {
-			return nil, err
-		}
-	}
-	return sys, nil
 }

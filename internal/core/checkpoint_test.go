@@ -31,16 +31,14 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	ref.Engine.Run(end)
 	want := Fingerprint(ref)
 
-	// The checkpointed run: stop at mid, save, load, resume, finish.
-	orig := BuildSystem(ckptParams())
-	orig.Engine.Run(warmup)
-	orig.Engine.ResetStats()
-	orig.Engine.Run(mid)
-	cp := Capture(orig, warmup, mid, "test")
+	// The checkpointed run: run to mid, saving there; load, resume, finish.
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := cp.Save(path); err != nil {
+	orig := BuildSystem(ckptParams())
+	plan := &CheckpointPlan{Path: path, Command: "test"}
+	if _, err := Run(orig, RunSpec{Warmup: warmup, Measure: mid - warmup, Checkpoint: plan}); err != nil {
 		t.Fatal(err)
 	}
+	cp := Capture(orig, warmup, mid, "test")
 
 	loaded, err := LoadCheckpoint(path)
 	if err != nil {
@@ -52,11 +50,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if len(loaded.Params.FaultSchedule.Events) != 1 {
 		t.Fatalf("fault schedule lost in round trip: %+v", loaded.Params.FaultSchedule)
 	}
-	resumed, err := Resume(loaded)
-	if err != nil {
+	resumed := BuildSystem(loaded.Params)
+	if _, err := Run(resumed, RunSpec{Warmup: loaded.Warmup, Measure: end - warmup, Resume: &loaded}); err != nil {
 		t.Fatal(err)
 	}
-	resumed.Engine.Run(end)
 	if got := Fingerprint(resumed); got != want {
 		t.Fatalf("resumed run diverged: fingerprint %#x, want %#x", got, want)
 	}
@@ -74,8 +71,9 @@ func TestResumeDetectsDrift(t *testing.T) {
 	sys.Engine.Run(4_000_000)
 	cp := Capture(sys, 0, 4_000_000, "test")
 	cp.Digest ^= 1
-	if _, err := Resume(cp); err == nil {
-		t.Fatal("Resume accepted a tampered digest")
+	replay := BuildSystem(cp.Params)
+	if _, err := Run(replay, RunSpec{Measure: 8_000_000, Resume: &cp}); err == nil {
+		t.Fatal("resume accepted a tampered digest")
 	}
 }
 

@@ -67,11 +67,9 @@ func RunCommProfile(kind Kind, o CommOpts) CommProfile {
 	bus := sys.Hier.Bus()
 	bus.EnableProfile()
 	bus.EnableTimeline(o.TimelineBin)
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats() // restarts profile and timeline too
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
-	res := eng.Results()
+	// The warm-up reset restarts the profile and timeline too.
+	Run(sys, RunSpec{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Slice: WholePhase})
+	res := sys.Engine.Results()
 
 	dist := bus.Profile()
 	transferring := 0

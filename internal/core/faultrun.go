@@ -6,9 +6,6 @@ import (
 	"repro/internal/appserver"
 	"repro/internal/fault"
 	"repro/internal/memsys"
-	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
-	"repro/internal/obs/reqtrace"
 )
 
 // FaultRunOpts size a throughput-under-fault experiment: the same (seed,
@@ -30,36 +27,6 @@ type FaultRunOpts struct {
 	MeasureCycles uint64
 	// BinCycles is the throughput sampling interval.
 	BinCycles uint64
-
-	// Observer, when non-nil, is attached to the *faulted* run: its trace
-	// carries the scheduled fault windows and resilience instants, and its
-	// registry the fault.* counters. Progress reports both runs' cycles.
-	Observer *obs.Observer
-	Progress *obs.Heartbeat
-	// Latency, when non-nil, is attached to the *faulted* run too: the
-	// experiment's question is how request latency degrades and recovers
-	// around the windows, and the clean run at the same seed is already
-	// characterized by a plain observed run.
-	Latency *reqtrace.Collector
-	// Flight, when non-nil, rides the *faulted* run: every scheduled window
-	// entry triggers a post-mortem bundle, so the experiment's storms leave
-	// black-box dumps behind.
-	Flight *flightrec.Recorder
-}
-
-// DefaultFaultRunOpts returns the documented fault demo: the full standard
-// measurement window with the demo schedule (every fault kind once) spread
-// across it.
-func DefaultFaultRunOpts() FaultRunOpts {
-	const warmup, measure = 12_000_000, 120_000_000
-	return FaultRunOpts{
-		Processors:    4,
-		Seed:          20030208,
-		Schedule:      fault.Demo(warmup, measure),
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		BinCycles:     4_000_000,
-	}
 }
 
 // QuickFaultRunOpts is the reduced test/CI configuration: one partition
@@ -107,37 +74,14 @@ type FaultRunResult struct {
 	Failed   uint64 // operations that took their error path
 }
 
-// binnedRun drives one system through warmup then the measurement window,
-// recording business ops per bin.
-func binnedRun(sys *System, o FaultRunOpts) []uint64 {
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
-	var bins []uint64
-	prev := uint64(0)
-	for t := o.WarmupCycles; t < o.WarmupCycles+o.MeasureCycles; {
-		t += o.BinCycles
-		if t > o.WarmupCycles+o.MeasureCycles {
-			t = o.WarmupCycles + o.MeasureCycles
-		}
-		eng.Run(t)
-		o.Progress.SetCycles(t)
-		flightTick(sys, t)
-		if rt := eng.ReqTrace(); rt != nil {
-			p50, p99 := rt.LiveQuantiles()
-			o.Progress.SetLatency(p50, p99)
-		}
-		ops := eng.Results().BusinessOps
-		bins = append(bins, ops-prev)
-		prev = ops
-	}
-	o.Progress.Add(1)
-	return bins
-}
-
 // RunFaultExperiment measures ECperf throughput with and without the fault
-// schedule at the same seed, and derives per-window recovery times.
-func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
+// schedule at the same seed, and derives per-window recovery times. The
+// session (nil = unobserved) reports both runs' progress and is attached,
+// as run "ECperf-faulted", to the faulted run only: its trace carries the
+// fault windows and resilience instants, its latency collector shows how
+// requests degrade and recover around them, and its flight recorder dumps
+// a bundle on every window entry.
+func RunFaultExperiment(o FaultRunOpts, sess *Session) FaultRunResult {
 	if o.BinCycles == 0 {
 		o.BinCycles = 4_000_000
 	}
@@ -146,17 +90,29 @@ func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
 		res.BinStart = append(res.BinStart, t)
 	}
 
-	clean := BuildSystem(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel})
-	res.Baseline = binnedRun(clean, o)
+	// binned runs sys with the bin as the slice, recording business ops per
+	// measurement bin.
+	binned := func(sys *System) []uint64 {
+		var bins []uint64
+		prev := uint64(0)
+		sess.Run(sys, RunSpec{
+			Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Slice: o.BinCycles,
+			OnSlice: func(uint64) {
+				ops := sys.Engine.Results().BusinessOps
+				bins = append(bins, ops-prev)
+				prev = ops
+			},
+		})
+		return bins
+	}
+	res.Baseline = binned(BuildSystem(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel}))
 
 	faulted := BuildSystem(SystemParams{
 		Kind: ECperf, Processors: o.Processors, Seed: o.Seed, MemModel: o.MemModel,
 		FaultSchedule: o.Schedule, FaultPolicy: o.Policy,
 	})
-	AttachObserver(faulted, o.Observer)
-	AttachLatency(faulted, o.Observer, o.Latency)
-	AttachFlight(faulted, o.Flight)
-	res.Faulted = binnedRun(faulted, o)
+	sess.Attach(faulted, "ECperf-faulted")
+	res.Faulted = binned(faulted)
 
 	if c := faulted.EC.Caller(); c != nil {
 		res.Calls = c.Stats
@@ -188,7 +144,7 @@ func RunFaultExperiment(o FaultRunOpts) FaultRunResult {
 // faulted BBops/s over the measurement window, with recovery times and
 // resilience activity in the notes.
 func FaultExperiment(o FaultRunOpts) Figure {
-	return FaultFigure(RunFaultExperiment(o))
+	return FaultFigure(RunFaultExperiment(o, nil))
 }
 
 // FaultFigure renders an already-measured fault run.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/obs/attr"
 )
 
 // TestFaultRunCurveAndRecovery drives the quick fault experiment end to
@@ -13,7 +15,7 @@ import (
 // engage, and throughput must recover after the heal.
 func TestFaultRunCurveAndRecovery(t *testing.T) {
 	o := QuickFaultRunOpts()
-	r := RunFaultExperiment(o)
+	r := RunFaultExperiment(o, nil)
 
 	if len(r.Baseline) != len(r.BinStart) || len(r.Faulted) != len(r.BinStart) {
 		t.Fatalf("bin shapes differ: %d starts, %d baseline, %d faulted",
@@ -66,7 +68,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 	o.MeasureCycles = 16_000_000
 	o.Schedule.Events[0].At = 8_000_000
 	o.Schedule.Events[0].Duration = 4_000_000
-	a, b := RunFaultExperiment(o), RunFaultExperiment(o)
+	a, b := RunFaultExperiment(o, nil), RunFaultExperiment(o, nil)
 	if a.Calls != b.Calls || a.Shed != b.Shed || a.Injected != b.Injected || a.Failed != b.Failed {
 		t.Fatalf("counters differ:\n%+v %d %+v %d\n%+v %d %+v %d",
 			a.Calls, a.Shed, a.Injected, a.Failed, b.Calls, b.Shed, b.Injected, b.Failed)
@@ -154,5 +156,36 @@ func TestFaultFigureRenders(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no resilience note in %v", f.Notes)
+	}
+}
+
+// TestFaultRunWindowDiscipline checks the faulted run of an experiment
+// follows the same warm-up/measure discipline as every other run: its
+// attribution report (reset at the warm-up boundary, tail epoch closed at
+// the end) equals ObserveRun's on the same faulted system and window, even
+// though the experiment steps in throughput bins rather than the default
+// slice.
+func TestFaultRunWindowDiscipline(t *testing.T) {
+	o := QuickFaultRunOpts()
+	o.MeasureCycles = 16_000_000
+	o.BinCycles = 4_000_000
+	o.Schedule.Events[0].At = 8_000_000
+	o.Schedule.Events[0].Duration = 4_000_000
+	sess := newTestSession(t, &obs.Flags{Attr: "unused", Flight: "off"}, "attr")
+	RunFaultExperiment(o, sess)
+	got, err := json.Marshal(sess.Runs()[0].Obs.Attr.BuildReport(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys := BuildSystem(SystemParams{Kind: ECperf, Processors: o.Processors, Seed: o.Seed, FaultSchedule: o.Schedule})
+	ob := &obs.Observer{Attr: attr.NewCollector(attr.Options{})}
+	ObserveRun(sys, ob, nil, o.WarmupCycles, o.MeasureCycles)
+	want, err := json.Marshal(ob.Attr.BuildReport(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("faulted run's attribution differs from ObserveRun's on the same window:\n got %.300s\nwant %.300s", got, want)
 	}
 }

@@ -30,12 +30,16 @@ func TestFlightPassivity(t *testing.T) {
 	ObserveRun(bare, nil, nil, warmup, measure)
 
 	recorded := BuildSystem(params)
-	ob, rec := flightrec.FromFlags(flightFlags(t.TempDir()), "passivity", nil)
-	if ob == nil || rec == nil {
+	sess := newTestSession(t, flightFlags(t.TempDir()), "passivity")
+	run := sess.Attach(recorded, "ECperf")
+	rec := run.Flight
+	if run.Obs == nil || rec == nil {
 		t.Fatal("default flags must enable the recorder")
 	}
-	AttachFlight(recorded, rec)
-	delta := ObserveRun(recorded, ob, nil, warmup, measure)
+	if err := sess.Run(recorded, RunSpec{Warmup: warmup, Measure: measure}); err != nil {
+		t.Fatal(err)
+	}
+	delta := run.Snap
 
 	a, b := bare.Engine.Results(), recorded.Engine.Results()
 	if a.BusinessOps != b.BusinessOps {
@@ -82,8 +86,7 @@ func TestFlightPassivity(t *testing.T) {
 
 // stormOpts is the db-lock-storm scenario from EXPERIMENTS.md / CI at test
 // size: the storm window sits inside the measurement interval.
-func stormOpts(dir string) (FaultRunOpts, *flightrec.Recorder, *obs.Observer) {
-	ob, rec := flightrec.FromFlags(flightFlags(dir), "storm", nil)
+func stormOpts() FaultRunOpts {
 	return FaultRunOpts{
 		Processors:   2,
 		Seed:         20030208,
@@ -92,17 +95,27 @@ func stormOpts(dir string) (FaultRunOpts, *flightrec.Recorder, *obs.Observer) {
 		Schedule: &fault.Schedule{Events: []fault.Event{
 			{Kind: fault.DBLockStorm, At: 12_000_000, Duration: 8_000_000, Magnitude: 30},
 		}},
-		Observer: ob,
-		Flight:   rec,
-	}, rec, ob
+	}
+}
+
+// runStorm runs the storm experiment with a flight-recording session
+// dumping into dir, and returns the faulted run's recorder.
+func runStorm(t *testing.T, o FaultRunOpts, dir string) *flightrec.Recorder {
+	t.Helper()
+	sess := newTestSession(t, flightFlags(dir), "storm")
+	RunFaultExperiment(o, sess)
+	runs := sess.Runs()
+	if len(runs) != 1 || runs[0].Label != "ECperf-faulted" {
+		t.Fatalf("want the faulted run attached alone, got %d runs", len(runs))
+	}
+	return runs[0].Flight
 }
 
 // TestDBLockStormDump is the acceptance scenario: a db-lock-storm run
 // produces a triggered dump whose trace window contains the storm interval.
 func TestDBLockStormDump(t *testing.T) {
-	dir := t.TempDir()
-	o, rec, _ := stormOpts(dir)
-	RunFaultExperiment(o)
+	o := stormOpts()
+	rec := runStorm(t, o, t.TempDir())
 
 	dumps := rec.Dumps()
 	if len(dumps) != 1 {
@@ -166,11 +179,10 @@ func TestDBLockStormDump(t *testing.T) {
 // byte-identical dump bundle across runs.
 func TestFlightDumpDeterminism(t *testing.T) {
 	read := func() []byte {
-		dir := t.TempDir()
-		o, rec, _ := stormOpts(dir)
+		o := stormOpts()
 		o.MeasureCycles = 16_000_000
 		o.Schedule.Events[0].Duration = 4_000_000
-		RunFaultExperiment(o)
+		rec := runStorm(t, o, t.TempDir())
 		dumps := rec.Dumps()
 		if len(dumps) != 1 {
 			t.Fatalf("want 1 dump, got %+v", dumps)

@@ -9,20 +9,18 @@ import (
 	"repro/internal/obs/reqtrace"
 )
 
-// runLatency executes one observed run with a request-latency collector
-// attached and returns the system and collector for checks.
+// runLatency executes one run under a session that asks for request
+// latency with objectives spec, and returns the system and collector for
+// checks.
 func runLatency(t *testing.T, kind Kind, procs int, seed uint64, spec string) (*System, *reqtrace.Collector) {
 	t.Helper()
-	objs, err := reqtrace.ParseObjectives(spec)
-	if err != nil {
+	sess := newTestSession(t, &obs.Flags{Latency: "unused", SLO: spec, Flight: "off"}, "latency")
+	sys := BuildSystem(SystemParams{Kind: kind, Processors: procs, Seed: seed})
+	run := sess.Attach(sys, "run")
+	if err := sess.Run(sys, RunSpec{Warmup: 4_000_000, Measure: 24_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	rt := reqtrace.NewCollector(reqtrace.Options{Objectives: objs})
-	sys := BuildSystem(SystemParams{Kind: kind, Processors: procs, Seed: seed})
-	ob := &obs.Observer{}
-	AttachLatency(sys, ob, rt)
-	ObserveRun(sys, ob, nil, 4_000_000, 24_000_000)
-	return sys, rt
+	return sys, run.Latency
 }
 
 // TestLatencyReportDeterministic: the same seed must produce byte-identical
@@ -120,11 +118,6 @@ func TestLatencyGCChargeback(t *testing.T) {
 // SLO burn in the affected intervals while clean intervals meet the
 // objective.
 func TestLatencySLOUnderDBLockStorm(t *testing.T) {
-	objs, err := reqtrace.ParseObjectives("p99<=20ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := reqtrace.NewCollector(reqtrace.Options{Objectives: objs})
 	o := FaultRunOpts{
 		Processors:   2,
 		Seed:         20030208,
@@ -135,9 +128,10 @@ func TestLatencySLOUnderDBLockStorm(t *testing.T) {
 			// bins (origin re-anchors to the warm-up boundary at 4M).
 			{Kind: fault.DBLockStorm, At: 16_000_000, Duration: 10_000_000, Magnitude: 40},
 		}},
-		Latency: rt,
 	}
-	RunFaultExperiment(o)
+	sess := newTestSession(t, &obs.Flags{SLO: "p99<=20ms", Flight: "off"}, "storm")
+	RunFaultExperiment(o, sess)
+	rt := sess.Runs()[0].Latency
 
 	rep := rt.BuildReport()
 	if len(rep.SLO) != 1 {

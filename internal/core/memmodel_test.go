@@ -40,7 +40,7 @@ func TestMemModelLoadedDeterministic(t *testing.T) {
 	o := QuickOpts()
 	o.MemModel = memsys.MemLoaded
 	run := func() uint64 {
-		_, sys := runScalingPoint(ECperf, 8, o.Seeds[0], o)
+		_, sys := runScalingPoint(ECperf, 8, o.Seeds[0], o, false)
 		return Fingerprint(sys)
 	}
 	a, b := run(), run()

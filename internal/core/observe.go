@@ -4,20 +4,13 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/obs/attr"
-	"repro/internal/obs/flightrec"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/stats"
 )
 
-// inspectTopN bounds the hot-line/object tables rendered for the live
-// inspection endpoint; the final report honors the -attr-top flag instead.
-const inspectTopN = 20
-
 // AttachObserver wires an observer through an assembled system (tracer into
-// the engine and bus, profiler into every core) and registers the standard
-// metric namespace against its registry. Call it after BuildSystem and
-// before the first Run.
+// the engine and bus, profiler into every core), registers the standard
+// metric namespace against its registry, and binds it to sys for Run. Call
+// it after BuildSystem and before the first Run.
 //
 // The simulator is single-threaded per run, so concurrent runs (sweep
 // cells) must each get their own Observer; merge traces afterwards with
@@ -26,6 +19,7 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 	if ob == nil {
 		return
 	}
+	sys.Obs = ob
 	sys.Engine.AttachObs(ob)
 	if ob.Tracer != nil {
 		ob.Tracer.NameProcess(ob.Tracer.Pid, sys.Params.Kind.String())
@@ -44,14 +38,7 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 		}
 		// Addresses the heap cannot name (code, stacks, DB buffers) fall
 		// back to the machine's address-space region names.
-		space := sys.Space
-		ob.Attr.Fallback = func(a uint64) (string, bool) {
-			r, ok := space.FindRegion(mem.Addr(a))
-			if !ok {
-				return "", false
-			}
-			return r.Name, true
-		}
+		ob.Attr.Fallback = sys.regionName
 	}
 	registerMetrics(sys, ob.Registry)
 	if r := ob.Registry; r != nil {
@@ -78,6 +65,13 @@ func AttachObserver(sys *System, ob *obs.Observer) {
 			ob.Tracer.Instant(obs.CompMem, "snoop.brute_fallback", 0, 0, obs.Str(obs.KeyReason, why))
 		}
 	}
+}
+
+// regionName names the address-space region holding a: the attribution
+// fallback for addresses the heap cannot name.
+func (sys *System) regionName(a uint64) (string, bool) {
+	r, ok := sys.Space.FindRegion(mem.Addr(a))
+	return r.Name, ok
 }
 
 // registerMetrics binds the machine's counters into the registry under the
@@ -165,138 +159,4 @@ func registerMetrics(sys *System, r *obs.Registry) {
 		r.Counter("workload.ops.failed", func() uint64 { return sys.EC.FailedOps })
 		r.Counter("workload.ops.shed", func() uint64 { return sys.EC.ShedOps })
 	}
-}
-
-// ObserveRun drives a built system through the standard warm-up/measure
-// discipline with an observer attached: warm-up runs in profiler phase
-// "warmup"; at the boundary the engine's stats, the profiler, and the
-// metrics base snapshot all reset together (so the folded profile and the
-// returned metrics delta cover exactly the window the figure metrics do);
-// measurement runs in phase "measure". The run advances in slices so hb
-// can report simulated-vs-wall progress while it goes. ob and hb may be
-// nil — the run is then identical to the plain warm-up/measure sequence.
-func ObserveRun(sys *System, ob *obs.Observer, hb *obs.Heartbeat, warmup, measure uint64) *obs.Snapshot {
-	snap, _ := ObserveRunCheckpointed(sys, ob, hb, warmup, measure, nil)
-	return snap
-}
-
-// ObserveRunCheckpointed is ObserveRun with run survivability: when plan is
-// non-nil, a resumable checkpoint is saved at the plan's cadence during the
-// measurement window and at the end. Checkpoint save failures abort the run
-// (a survivability run with no checkpoints is not what was asked for).
-func ObserveRunCheckpointed(sys *System, ob *obs.Observer, hb *obs.Heartbeat, warmup, measure uint64, plan *CheckpointPlan) (*obs.Snapshot, error) {
-	const slice = 2_000_000
-	AttachObserver(sys, ob)
-	eng := sys.Engine
-
-	var prof *obs.Profiler
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	if ob != nil {
-		prof, reg, tracer = ob.Profiler, ob.Registry, ob.Tracer
-	}
-
-	nextSave := uint64(0)
-	if plan != nil && plan.Every > 0 {
-		nextSave = warmup + plan.Every
-	}
-	runTo := func(from, to uint64) error {
-		for t := from; t < to; {
-			t += slice
-			if t > to {
-				t = to
-			}
-			eng.Run(t)
-			hb.SetCycles(t)
-			flightTick(sys, t)
-			if rt := eng.ReqTrace(); rt != nil {
-				p50, p99 := rt.LiveQuantiles()
-				hb.SetLatency(p50, p99)
-			}
-			if ls, ok := sys.Hier.LoadSnapshot(); ok {
-				hb.SetMemLoad(ls.Util, ls.MemMult)
-			}
-			if ob != nil && ob.Inspect != nil {
-				ob.Inspect.Publish(ob, inspectTopN, false)
-			}
-			if nextSave > 0 && t >= nextSave {
-				if err := plan.save(sys, warmup, t); err != nil {
-					return err
-				}
-				for nextSave <= t {
-					nextSave += plan.Every
-				}
-			}
-		}
-		return nil
-	}
-
-	prof.SetPhase("warmup")
-	if err := runTo(0, warmup); err != nil {
-		return nil, err
-	}
-	eng.ResetStats()
-	prof.Reset() // the folded profile covers exactly the measurement window
-	if ob != nil {
-		// Attribution, like the figure metrics, covers only the
-		// measurement window; warm-up traffic is discarded.
-		ob.Attr.Reset()
-	}
-	var base *obs.Snapshot
-	if reg != nil {
-		base = reg.Snapshot()
-	}
-	if tracer.Enabled(obs.CompWorkload) {
-		tracer.Instant(obs.CompWorkload, "measure.start", 0, eng.Now())
-	}
-	prof.SetPhase("measure")
-	if err := runTo(warmup, warmup+measure); err != nil {
-		return nil, err
-	}
-	if err := plan.save(sys, warmup, warmup+measure); err != nil {
-		return nil, err
-	}
-	hb.Add(1)
-	if ob != nil && ob.Attr != nil {
-		// Attribute the tail of the measurement window that no GC closed.
-		var res attr.Resolver
-		if sys.Heap != nil {
-			res = sys.Heap.SiteResolver()
-		}
-		ob.Attr.CloseEpoch(res, "final")
-	}
-	if ob != nil && ob.Inspect != nil {
-		ob.Inspect.Publish(ob, inspectTopN, true)
-	}
-
-	if reg != nil {
-		return reg.Snapshot().Delta(base), nil
-	}
-	return nil, nil
-}
-
-// RunObservedPoint is RunScalingPoint with an observer attached (see
-// ObserveRun for the phase discipline). It returns the figure metrics and
-// the measurement-window metrics delta.
-func RunObservedPoint(kind Kind, procs int, seed uint64, o Opts, ob *obs.Observer) (ScalingPoint, *obs.Snapshot) {
-	return RunObservedPointLatency(kind, procs, seed, o, ob, nil)
-}
-
-// RunObservedPointLatency is RunObservedPoint with a request-latency
-// collector attached before the first cycle (nil rt tracks nothing). The
-// collector re-anchors at the warm-up boundary with the rest of the stats,
-// so its report covers exactly the measurement window.
-func RunObservedPointLatency(kind Kind, procs int, seed uint64, o Opts, ob *obs.Observer, rt *reqtrace.Collector) (ScalingPoint, *obs.Snapshot) {
-	return RunObservedPointFlight(kind, procs, seed, o, ob, rt, nil)
-}
-
-// RunObservedPointFlight is RunObservedPointLatency with a flight recorder
-// riding the run (nil rec records nothing): the run loop ticks it, so its
-// triggers and /flight/dump work during the observed point.
-func RunObservedPointFlight(kind Kind, procs int, seed uint64, o Opts, ob *obs.Observer, rt *reqtrace.Collector, rec *flightrec.Recorder) (ScalingPoint, *obs.Snapshot) {
-	sys := BuildSystem(o.systemParams(kind, procs, seed))
-	AttachLatency(sys, ob, rt)
-	AttachFlight(sys, rec)
-	delta := ObserveRun(sys, ob, o.Progress, o.WarmupCycles, o.MeasureCycles)
-	return summarizePoint(sys, procs, seed, o), delta
 }

@@ -131,23 +131,34 @@ func TestObserveRunGCSpans(t *testing.T) {
 	}
 }
 
-// TestRunObservedPointAgrees verifies the observed driver returns the same
-// figure metrics as the plain driver — observation must not perturb the
-// simulation.
+// TestRunObservedPointAgrees verifies a point run under a fully observed
+// session returns the same figure metrics as the plain driver — observation
+// must not perturb the simulation.
 func TestRunObservedPointAgrees(t *testing.T) {
 	o := Opts{Procs: []int{2}, Seeds: []uint64{7}, WarmupCycles: 1_000_000, MeasureCycles: 4_000_000}
 	plain := RunScalingPoint(SPECjbb, 2, 7, o)
-	observed, snap := RunObservedPoint(SPECjbb, 2, 7, o, obs.NewObserver())
-	if plain != observed {
+	spec := RunSpec{Warmup: o.WarmupCycles, Measure: o.MeasureCycles}
+
+	all := &obs.Flags{Trace: "t", Metrics: "m", Profile: "p", Attr: "a", Latency: "l", Flight: t.TempDir()}
+	sess := newTestSession(t, all, "agree")
+	sys := BuildSystem(o.systemParams(SPECjbb, 2, 7))
+	run := sess.Attach(sys, "SPECjbb")
+	if err := sess.Run(sys, spec); err != nil {
+		t.Fatal(err)
+	}
+	if observed := summarizePoint(sys, 2, 7, o); plain != observed {
 		t.Errorf("observed point diverged:\nplain    %+v\nobserved %+v", plain, observed)
 	}
-	if snap == nil || snap.Counter("workload.ops") == 0 {
+	if run.Snap == nil || run.Snap.Counter("workload.ops") == 0 {
 		t.Error("observed point returned no metrics delta")
 	}
-	// A nil observer must also work and agree.
-	unobserved, _ := RunObservedPoint(SPECjbb, 2, 7, o, nil)
-	if plain != unobserved {
-		t.Errorf("nil-observer point diverged: %+v vs %+v", plain, unobserved)
+	// A nil session must also work and agree.
+	bare := BuildSystem(o.systemParams(SPECjbb, 2, 7))
+	if err := (*Session)(nil).Run(bare, spec); err != nil {
+		t.Fatal(err)
+	}
+	if unobserved := summarizePoint(bare, 2, 7, o); plain != unobserved {
+		t.Errorf("nil-session point diverged: %+v vs %+v", plain, unobserved)
 	}
 }
 

@@ -19,8 +19,9 @@ type Opts struct {
 	// MeasureCycles is the steady-state measurement window.
 	MeasureCycles uint64
 	// Progress, when non-nil, is ticked once per completed run and credited
-	// with each run's simulated cycles — the sweep's liveness heartbeat.
-	Progress *obs.Heartbeat
+	// with each run's simulated cycles — the sweep's liveness heartbeat. It
+	// is not part of a run manifest's record of the options.
+	Progress *obs.Heartbeat `json:"-"`
 	// MemModel selects the memory timing model for every run in the sweep
 	// (default memsys.MemFixed); MemCurve optionally overrides the loaded
 	// model's parameters.
@@ -90,14 +91,14 @@ type ScalingPoint struct {
 
 // RunScalingPoint builds the system, warms it, and measures one point.
 func RunScalingPoint(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	p, _ := runScalingPoint(kind, procs, seed, o)
+	p, _ := runScalingPoint(kind, procs, seed, o, false)
 	return p
 }
 
 // RunScalingPointDebug is RunScalingPoint plus a bus-level diagnostic
 // string (miss mix per 1000 instructions) for calibration work.
 func RunScalingPointDebug(kind Kind, procs int, seed uint64, o Opts) ScalingPoint {
-	p, sys := runScalingPointDiag(kind, procs, seed, o)
+	p, sys := runScalingPoint(kind, procs, seed, o, true)
 	bs := sys.Hier.Bus().Stats
 	instr := float64(sys.Engine.Results().CPU.Instructions)
 	if instr > 0 {
@@ -123,11 +124,15 @@ func RunScalingPointDebug(kind Kind, procs int, seed uint64, o Opts) ScalingPoin
 	return p
 }
 
-// runScalingPointDiag enables the address-class miss diagnostic.
-func runScalingPointDiag(kind Kind, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
+// runScalingPoint builds and measures one point, with the address-class
+// miss diagnostic enabled when diag is set.
+func runScalingPoint(kind Kind, procs int, seed uint64, o Opts, diag bool) (ScalingPoint, *System) {
 	sys := BuildSystem(o.systemParams(kind, procs, seed))
-	sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
-	return measureScalingPoint(sys, procs, seed, o)
+	if diag {
+		sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
+	}
+	Run(sys, RunSpec{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Slice: WholePhase})
+	return summarizePoint(sys, procs, seed, o), sys
 }
 
 // systemParams builds one sweep run's parameters from the sweep options.
@@ -164,19 +169,6 @@ func regionClassifier(sys *System) func(a uint64) int {
 			return 6
 		}
 	}
-}
-
-func runScalingPoint(kind Kind, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
-	sys := BuildSystem(o.systemParams(kind, procs, seed))
-	return measureScalingPoint(sys, procs, seed, o)
-}
-
-func measureScalingPoint(sys *System, procs int, seed uint64, o Opts) (ScalingPoint, *System) {
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
-	return summarizePoint(sys, procs, seed, o), sys
 }
 
 // summarizePoint reduces a finished measurement window to the figure

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // SharedCacheOpts size the Figure 16 CMP shared-cache study.
 type SharedCacheOpts struct {
@@ -60,11 +56,8 @@ func sharedCacheCell(kind Kind, cpusPerL2 int, seed uint64, o SharedCacheOpts) f
 		Scale:      scale,
 		Seed:       seed,
 	})
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
-	res := eng.Results()
+	Run(sys, RunSpec{Warmup: o.WarmupCycles, Measure: o.MeasureCycles, Slice: WholePhase})
+	res := sys.Engine.Results()
 	return sys.Hier.DataMissesPer1000(res.CPU.Instructions)
 }
 
@@ -115,34 +108,6 @@ func ScheduleSharedCache(sched *Scheduler, o SharedCacheOpts) *SharedCacheRuns {
 		r.vals = append(r.vals, grid)
 	}
 	return r
-}
-
-// RunSharedCachePointDebug runs one grouping with the region-miss
-// classifier enabled and returns a diagnostic string (calibration aid).
-func RunSharedCachePointDebug(kind Kind, cpusPerL2 int, o SharedCacheOpts) string {
-	scale := 0
-	if kind == SPECjbb {
-		scale = 25
-	}
-	sys := BuildSystem(SystemParams{
-		Kind: kind, Processors: 8, TotalCPUs: 8, CPUsPerL2: cpusPerL2,
-		Scale: scale, Seed: o.Seeds[0],
-	})
-	sys.Hier.Bus().ClassifyAddr = regionClassifier(sys)
-	eng := sys.Engine
-	eng.Run(o.WarmupCycles)
-	eng.ResetStats()
-	eng.Run(o.WarmupCycles + o.MeasureCycles)
-	res := eng.Results()
-	instr := float64(res.CPU.Instructions)
-	bs := sys.Hier.Bus().Stats
-	mc := sys.Hier.Bus().MissClass
-	return fmt.Sprintf("dmiss=%.2f c2c=%.2f mem=%.2f memclass[code=%.2f kern=%.2f eden=%.2f surv=%.2f old=%.2f perm=%.2f oth=%.2f] thr=%d",
-		sys.Hier.DataMissesPer1000(res.CPU.Instructions),
-		1000*float64(bs.C2CTransfers)/instr, 1000*float64(bs.MemTransfers)/instr,
-		1000*float64(mc[0])/instr, 1000*float64(mc[1])/instr, 1000*float64(mc[2])/instr,
-		1000*float64(mc[3])/instr, 1000*float64(mc[4])/instr, 1000*float64(mc[5])/instr,
-		1000*float64(mc[6])/instr, res.BusinessOps)
 }
 
 // Figure renders Figure 16 from the completed grid. The scheduler the

@@ -153,14 +153,7 @@ func runUniSweepConfigs(kind Kind, scale int, label string, o SweepOpts, icfgs, 
 		if ob.Attr != nil {
 			f.attrc = ob.Attr
 			sys.Heap.SetAttr(ob.Attr)
-			space := sys.Space
-			ob.Attr.Fallback = func(a uint64) (string, bool) {
-				r, ok := space.FindRegion(mem.Addr(a))
-				if !ok {
-					return "", false
-				}
-				return r.Name, true
-			}
+			ob.Attr.Fallback = sys.regionName
 		}
 		if f.tracer != nil {
 			f.tracer.NameProcess(f.tracer.Pid, label)

@@ -25,6 +25,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/obs/flightrec"
 	"repro/internal/osmodel"
 	"repro/internal/simrand"
@@ -156,8 +157,11 @@ type System struct {
 	// Faults is the run's injector (nil without a FaultSchedule).
 	Faults *fault.Injector
 
-	// Flight is the run's flight recorder (nil when -flight off); the run
-	// loops tick it at slice boundaries. Attach with AttachFlight.
+	// Obs is the run's observer (nil when unobserved); Run drives its
+	// phases and hooks. Attach with AttachObserver.
+	Obs *obs.Observer
+	// Flight is the run's flight recorder (nil when -flight off); Run ticks
+	// it at slice boundaries. Attach with AttachFlight.
 	Flight *flightrec.Recorder
 }
 

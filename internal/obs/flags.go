@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -131,6 +132,52 @@ func (f *Flags) NewObserver(pid int) *Observer {
 // snapshot. The manifest's Outputs field is filled in here.
 func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*Snapshot, m *Manifest) error {
 	var outputs []string
+	// emit writes one artifact atomically and records it for the manifest;
+	// the artifacts that accept "-" for stdout pass stdoutOK.
+	emit := func(path string, stdoutOK bool, write func(io.Writer) error) error {
+		if stdoutOK && path == "-" {
+			return write(os.Stdout)
+		}
+		w, err := AtomicCreate(path, 0o644)
+		if err != nil {
+			return err
+		}
+		if err := write(w); err != nil {
+			w.Abort()
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		outputs = append(outputs, path)
+		return nil
+	}
+	label := func(i int) string {
+		if i < len(labels) && labels[i] != "" {
+			return labels[i]
+		}
+		return fmt.Sprintf("run%d", i)
+	}
+	// emitJSON writes one JSON object keyed by run label, so a sweep's
+	// reports land in a single machine-readable file.
+	emitJSON := func(path string, report func(ob *Observer) any) error {
+		reports := make(map[string]any)
+		for i, ob := range observers {
+			if ob == nil {
+				continue
+			}
+			if r := report(ob); r != nil {
+				reports[label(i)] = r
+			}
+		}
+		return emit(path, true, func(w io.Writer) error {
+			buf, err := json.MarshalIndent(reports, "", "  ")
+			if err == nil {
+				_, err = w.Write(append(buf, '\n'))
+			}
+			return err
+		})
+	}
 
 	if f.Trace != "" {
 		var trs []*Tracer
@@ -139,18 +186,9 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 				trs = append(trs, ob.Tracer)
 			}
 		}
-		w, err := AtomicCreate(f.Trace, 0o644)
-		if err != nil {
+		if err := emit(f.Trace, false, func(w io.Writer) error { return WriteChromeTrace(w, trs...) }); err != nil {
 			return err
 		}
-		if err := WriteChromeTrace(w, trs...); err != nil {
-			w.Abort()
-			return err
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		outputs = append(outputs, f.Trace)
 		// A capped trace is silently truncated otherwise; say so, with the
 		// knob that raises the cap.
 		for i, tr := range trs {
@@ -162,7 +200,8 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 	}
 
 	if f.Metrics != "" {
-		write := func(w io.Writer) error {
+		err := emit(f.Metrics, true, func(w io.Writer) error {
+			var b bytes.Buffer
 			for i, ob := range observers {
 				if ob == nil || ob.Registry == nil {
 					continue
@@ -172,134 +211,57 @@ func (f *Flags) WriteArtifacts(labels []string, observers []*Observer, snaps []*
 					snap = snaps[i]
 				}
 				if i < len(labels) {
-					if _, err := fmt.Fprintf(w, "== %s ==\n", labels[i]); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "== %s ==\n", labels[i])
 				}
-				if _, err := snap.WriteTo(w); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
+				snap.WriteTo(&b)
+				b.WriteByte('\n')
 			}
-			return nil
-		}
-		if f.Metrics == "-" {
-			if err := write(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			w, err := AtomicCreate(f.Metrics, 0o644)
-			if err != nil {
-				return err
-			}
-			if err := write(w); err != nil {
-				w.Abort()
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, f.Metrics)
+			_, err := w.Write(b.Bytes())
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
 
 	if f.Profile != "" {
-		w, err := AtomicCreate(f.Profile, 0o644)
+		err := emit(f.Profile, false, func(w io.Writer) error {
+			for _, ob := range observers {
+				if ob == nil {
+					continue
+				}
+				if err := ob.Profiler.WriteFolded(w); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		for _, ob := range observers {
-			if ob == nil {
-				continue
-			}
-			if werr := ob.Profiler.WriteFolded(w); werr != nil {
-				w.Abort()
-				return werr
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		outputs = append(outputs, f.Profile)
 	}
 
 	if f.Attr != "" {
-		// One JSON object keyed by run label, so a sweep's reports land in
-		// a single machine-readable file.
-		reports := make(map[string]*attr.Report)
-		for i, ob := range observers {
-			if ob == nil || ob.Attr == nil {
-				continue
+		err := emitJSON(f.Attr, func(ob *Observer) any {
+			if ob.Attr == nil {
+				return nil
 			}
-			label := fmt.Sprintf("run%d", i)
-			if i < len(labels) && labels[i] != "" {
-				label = labels[i]
-			}
-			reports[label] = ob.Attr.BuildReport(f.AttrTop)
-		}
-		buf, err := json.MarshalIndent(reports, "", "  ")
+			return ob.Attr.BuildReport(f.AttrTop)
+		})
 		if err != nil {
 			return err
-		}
-		buf = append(buf, '\n')
-		if f.Attr == "-" {
-			if _, err := os.Stdout.Write(buf); err != nil {
-				return err
-			}
-		} else {
-			w, err := AtomicCreate(f.Attr, 0o644)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(buf); err != nil {
-				w.Abort()
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, f.Attr)
 		}
 	}
 
 	if f.Latency != "" {
-		// One JSON object keyed by run label, mirroring the attribution
-		// artifact, so sweeps land all latency reports in one file.
-		reports := make(map[string]json.RawMessage)
-		for i, ob := range observers {
-			if ob == nil || ob.LatencyReport == nil {
-				continue
+		err := emitJSON(f.Latency, func(ob *Observer) any {
+			if ob.LatencyReport == nil {
+				return nil
 			}
-			label := fmt.Sprintf("run%d", i)
-			if i < len(labels) && labels[i] != "" {
-				label = labels[i]
-			}
-			reports[label] = json.RawMessage(ob.LatencyReport())
-		}
-		buf, err := json.MarshalIndent(reports, "", "  ")
+			return json.RawMessage(ob.LatencyReport())
+		})
 		if err != nil {
 			return err
-		}
-		buf = append(buf, '\n')
-		if f.Latency == "-" {
-			if _, err := os.Stdout.Write(buf); err != nil {
-				return err
-			}
-		} else {
-			w, err := AtomicCreate(f.Latency, 0o644)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(buf); err != nil {
-				w.Abort()
-				return err
-			}
-			if err := w.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, f.Latency)
 		}
 	}
 

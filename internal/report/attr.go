@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs/attr"
 )
 
@@ -73,5 +74,22 @@ func AttrSummary(w io.Writer, r *attr.Report) {
 			fmt.Fprintf(w, "%-28s | %8d | %8d | %8d | %8d | %8d | %8d\n",
 				trunc(h.Label, 28), h.Lines, h.GetS, h.GetM, h.Upgrades, h.C2C, h.Invals)
 		}
+	}
+}
+
+// RunSummaries prints an observed run's attribution and request-latency
+// summaries, each after a blank line, for whichever of the two it
+// collected. A nil run prints nothing.
+func RunSummaries(w io.Writer, r *core.SessionRun, attrTop int) {
+	if r == nil {
+		return
+	}
+	if r.Obs != nil && r.Obs.Attr != nil {
+		fmt.Fprintln(w)
+		AttrSummary(w, r.Obs.Attr.BuildReport(attrTop))
+	}
+	if r.Latency != nil {
+		fmt.Fprintln(w)
+		LatencySummary(w, r.Latency.BuildReport())
 	}
 }
