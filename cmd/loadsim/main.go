@@ -384,13 +384,27 @@ func latencyPoint(pts []point) *point {
 }
 
 func main() {
-	af := registerFlags(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a testable seam; it returns the process
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	af := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "loadsim:", err)
+		return 1
+	}
 	ofl, hp := &af.ofl, &af.hp
 
-	sess, err := core.NewSession("loadsim", ofl, hp, os.Stderr)
+	sess, err := core.NewSession("loadsim", ofl, hp, stderr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer sess.Close()
 	for _, inert := range []struct{ name, val string }{
@@ -398,17 +412,17 @@ func main() {
 		{"-profile", ofl.Profile}, {"-attr", ofl.Attr},
 	} {
 		if inert.val != "" {
-			fmt.Fprintf(os.Stderr, "loadsim: %s ignored (queueing-level model, no engine instrumentation)\n", inert.name)
+			fmt.Fprintf(stderr, "loadsim: %s ignored (queueing-level model, no engine instrumentation)\n", inert.name)
 		}
 	}
 
 	cfg, err := buildConfig(af)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	mults, err := parseSweep(*af.sweep, *af.offered)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var modes []bool
 	switch *af.controls {
@@ -419,11 +433,11 @@ func main() {
 	case "both":
 		modes = []bool{true, false}
 	default:
-		fatal(fmt.Errorf("-controls %q: want on, off, or both", *af.controls))
+		return fail(fmt.Errorf("-controls %q: want on, off, or both", *af.controls))
 	}
 	sched, err := loadFaults(*af.faults, *af.horizon)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	newColl := func() (*reqtrace.Collector, error) {
 		if c, err := core.NewLatencyCollector(ofl); err != nil || c != nil {
@@ -456,49 +470,45 @@ func main() {
 	}
 	lv.rec.SetInspector(sess.Inspect)
 
-	pts, err := runSweep(os.Stdout, cfg, mults, modes, *af.seed, *af.horizon, sched, newColl, lv)
+	pts, err := runSweep(stdout, cfg, mults, modes, *af.seed, *af.horizon, sched, newColl, lv)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	hb.Stop()
 
 	fig := buildFigure(pts, mults)
 	if len(mults) > 1 {
-		fmt.Println()
-		report.Render(os.Stdout, fig)
+		fmt.Fprintln(stdout)
+		report.Render(stdout, fig)
 	}
 	for _, n := range fig.Notes {
-		fmt.Println(n)
+		fmt.Fprintln(stdout, n)
 	}
 	if *af.reportPath != "" {
 		w, err := obs.AtomicCreate(*af.reportPath, 0o644)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		report.Markdown(w, fig)
 		if err := w.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	if lp := latencyPoint(pts); lp != nil && ofl.LatencyEnabled() {
-		fmt.Println()
-		fmt.Printf("latency report: %.2fx offered, controls %v\n", lp.mult, lp.controls)
-		report.LatencySummary(os.Stdout, lp.coll.BuildReport())
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "latency report: %.2fx offered, controls %v\n", lp.mult, lp.controls)
+		report.LatencySummary(stdout, lp.coll.BuildReport())
 		if ofl.Latency != "" && ofl.Latency != "-" {
 			if err := obs.AtomicWriteFile(ofl.Latency, lp.coll.ReportJSON(), 0o644); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		} else if ofl.Latency == "-" {
-			os.Stdout.Write(lp.coll.ReportJSON())
+			stdout.Write(lp.coll.ReportJSON())
 		}
 	}
 	if s := lv.rec.Summary(); s != "" {
-		fmt.Fprintln(os.Stderr, s)
+		fmt.Fprintln(stderr, s)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "loadsim:", err)
-	os.Exit(1)
+	return 0
 }

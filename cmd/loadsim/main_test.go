@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -156,5 +157,42 @@ func TestBuildConfigFlash(t *testing.T) {
 	}
 	if cfg.Arrival.FlashAt == 0 || cfg.Arrival.FlashAt >= *af.horizon {
 		t.Fatalf("flash spike at %d outside horizon %d", cfg.Arrival.FlashAt, *af.horizon)
+	}
+}
+
+// TestGolden pins stdout of the default sweep with and without controls,
+// of the flash-crowd-plus-crash scenario with its latency JSON on stdout,
+// and of the closed-loop population under the fault demo. Regenerate a
+// golden only for an intended output change, e.g.
+//
+//	go run ./cmd/loadsim -sweep 0.5,1,3 -controls both > cmd/loadsim/testdata/sweep_both.golden
+func TestGolden(t *testing.T) {
+	cases := []struct {
+		name, golden string
+		args         []string
+	}{
+		{"sweep-both", "testdata/sweep_both.golden",
+			[]string{"-sweep", "0.5,1,3", "-controls", "both"}},
+		{"flash-crash-latency", "testdata/flash_crash_latency.golden",
+			[]string{"-arrival", "flash", "-faults", "crash", "-horizon", "100000000",
+				"-slo", "p99<=25ms", "-latency", "-"}},
+		{"closed-faults-demo", "testdata/closed_faults_demo.golden",
+			[]string{"-arrival", "off", "-clients", "16", "-faults", "demo"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := os.ReadFile(c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, errw bytes.Buffer
+			args := append(append([]string{}, c.args...), "-flight", t.TempDir())
+			if code := run(args, &out, &errw); code != 0 {
+				t.Fatalf("exit %d: %s", code, errw.String())
+			}
+			if out.String() != string(want) {
+				t.Fatalf("stdout differs from %s:\n%s", c.golden, out.String())
+			}
+		})
 	}
 }

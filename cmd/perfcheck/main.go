@@ -59,13 +59,13 @@ import (
 // pinnedBench is the default benchmark selection, chosen to cover the
 // simulator's perf-critical layers: the figure pipelines (engine + memory
 // system + generators), the local-hit fast path, and the snoop-heavy bus
-// patterns the duplicate-tag filter exists for, and the loaded-latency hot
+// patterns the duplicate-tag filter exists for, the loaded-latency hot
 // path (curve lookup + utilization-window update) every bus transaction pays
-// under -memmodel loaded.
+// under -memmodel loaded, and the open cluster's event loop.
 const pinnedBench = "^(BenchmarkFig08C2CRatio|BenchmarkFig13DCacheMissRate|BenchmarkFig16SharedCaches|" +
 	"BenchmarkReadLocalHit|BenchmarkMigratoryWrite16Nodes|BenchmarkReadSharedGetS16Nodes|" +
 	"BenchmarkHDRRecord|BenchmarkHDRMerge|BenchmarkCurveLookup|BenchmarkLoadTrackerRecord|" +
-	"BenchmarkTracerRingRecord)$"
+	"BenchmarkTracerRingRecord|BenchmarkOpenSimEventLoop)$"
 
 // E2E pseudo-benchmark keys: wall-clock timings of whole driver binaries.
 const (
@@ -103,7 +103,7 @@ var allocsField = regexp.MustCompile(`(\d+) allocs/op`)
 
 func main() {
 	bench := flag.String("bench", pinnedBench, "benchmark regex passed to go test -bench")
-	pkgs := flag.String("pkgs", ".,./internal/coherence,./internal/memsys,./internal/obs", "comma-separated packages to benchmark")
+	pkgs := flag.String("pkgs", ".,./internal/cluster,./internal/coherence,./internal/memsys,./internal/obs", "comma-separated packages to benchmark")
 	count := flag.Int("count", 3, "runs per benchmark; the minimum is kept")
 	tol := flag.Float64("tol", 0.30, "allowed fractional ns/op (and wall-clock) regression vs baseline")
 	allocTol := flag.Float64("alloc-tol", 0.10, "allowed fractional allocs/op regression vs baseline")

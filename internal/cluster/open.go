@@ -7,9 +7,10 @@
 // lockstep, OpenSim is a discrete-event queueing model of the whole
 // machine room — the level of detail at which overload behavior lives:
 // bounded queues, load-balancer routing, per-backend concurrency limits,
-// timeouts, retries, and client patience. Requests carry reqtrace spans,
-// so goodput-vs-offered-load and p99-vs-load curves fall out of the same
-// HDR/SLO pipeline as the closed-loop workloads.
+// timeouts, retries, and client patience. Each resolved request is
+// recorded in a reqtrace collector, so goodput-vs-offered-load and
+// p99-vs-load curves fall out of the same HDR/SLO pipeline as the
+// closed-loop workloads.
 //
 // Determinism: every stochastic decision draws from streams derived from
 // one seed, events are ordered by (time, insertion sequence), and the
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/db"
+	"repro/internal/evq"
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/obs/reqtrace"
@@ -335,61 +337,12 @@ const (
 	evTick
 )
 
-// event is one scheduled occurrence; ties break by insertion order.
+// event is one scheduled occurrence; the queue keys it by time and breaks
+// ties by scheduling order. Call and done events belong to the request's
+// serving node (req.node).
 type event struct {
-	at   uint64
-	seq  uint64
 	kind uint8
-	node int
 	req  *openReq
-}
-
-func evLess(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// eventQueue is a binary min-heap on (at, seq).
-type eventQueue []*event
-
-func (q *eventQueue) push(e *event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (q *eventQueue) pop() *event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && evLess(h[l], h[m]) {
-			m = l
-		}
-		if r < n && evLess(h[r], h[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	*q = h
-	return top
 }
 
 // openNode is one app server: a bounded FIFO, a worker pool, and its
@@ -424,58 +377,24 @@ func (n *openNode) popFront() *openReq {
 // tracking: held slots are released when their call's wire time expires.
 type shardLimiter struct {
 	aimd *fault.AIMD
-	rel  []uint64 // min-heap of slot release times
+	rel  evq.Queue[struct{}] // held slots, keyed by release time
 }
 
 func (l *shardLimiter) expire(t uint64) {
-	for len(l.rel) > 0 && l.rel[0] <= t {
-		h := l.rel
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		i := 0
-		for {
-			a, b := 2*i+1, 2*i+2
-			m := i
-			if a < n && h[a] < h[m] {
-				m = a
-			}
-			if b < n && h[b] < h[m] {
-				m = b
-			}
-			if m == i {
-				break
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
+	for l.rel.Len() > 0 {
+		if at, _ := l.rel.Peek(); at > t {
+			return
 		}
-		l.rel = h
+		l.rel.Pop()
 	}
 }
 
 func (l *shardLimiter) tryAcquire(t uint64) bool {
 	l.expire(t)
-	return len(l.rel) < int(l.aimd.Limit())
+	return l.rel.Len() < int(l.aimd.Limit())
 }
 
-func (l *shardLimiter) hold(release uint64) {
-	l.rel = append(l.rel, release)
-	h := l.rel
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[i] >= h[p] {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (l *shardLimiter) inFlight(t uint64) int {
-	l.expire(t)
-	return len(l.rel)
-}
+func (l *shardLimiter) hold(release uint64) { l.rel.Push(release, struct{}{}) }
 
 // OpenSim is the open-system cluster simulation.
 type OpenSim struct {
@@ -487,8 +406,10 @@ type OpenSim struct {
 	coll   *reqtrace.Collector
 
 	now    uint64
-	seq    uint64
-	events eventQueue
+	events evq.Queue[event]
+	// free holds resolved requests for reuse; alive is route's scratch.
+	free  []*openReq
+	alive []*openNode
 
 	nodes    []*openNode
 	shards   []*db.Server
@@ -505,6 +426,7 @@ type OpenSim struct {
 
 	// errRespBytes sizes the response wire transfer of failed requests.
 	errRespBytes uint32
+	failClass    []string // per mix class: its ".fail" latency class
 
 	Stats OpenStats
 }
@@ -528,6 +450,7 @@ func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
 	for _, m := range cfg.Mix {
 		acc += m.Weight / total
 		s.cum = append(s.cum, acc)
+		s.failClass = append(s.failClass, m.Name+".fail")
 	}
 
 	if cfg.ClosedClients == 0 {
@@ -605,13 +528,13 @@ func (s *OpenSim) InFlight() uint64 {
 }
 
 // schedule pushes an event at time at.
-func (s *OpenSim) schedule(at uint64, kind uint8, node int, r *openReq) {
-	s.seq++
-	s.events.push(&event{at: at, seq: s.seq, kind: kind, node: node, req: r})
+func (s *OpenSim) schedule(at uint64, kind uint8, r *openReq) {
+	s.events.Push(at, event{kind: kind, req: r})
 }
 
 // newReq draws a request's class and shard (one Float64 + one Intn, in
-// arrival order, independent of topology configuration).
+// arrival order, independent of topology configuration). It reuses a
+// released request when the free list has one.
 func (s *OpenSim) newReq(sendAt uint64, client int) *openReq {
 	u := s.rng.Float64()
 	class := len(s.cum) - 1
@@ -621,7 +544,15 @@ func (s *OpenSim) newReq(sendAt uint64, client int) *openReq {
 			break
 		}
 	}
-	return &openReq{class: class, shard: s.rng.Intn(s.cfg.Shards), client: client, sendAt: sendAt}
+	var r *openReq
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = new(openReq)
+	}
+	*r = openReq{class: class, shard: s.rng.Intn(s.cfg.Shards), client: client, sendAt: sendAt}
+	return r
 }
 
 // pushArrival schedules req's arrival at the load balancer: send time plus
@@ -629,7 +560,7 @@ func (s *OpenSim) newReq(sendAt uint64, client int) *openReq {
 func (s *OpenSim) pushArrival(r *openReq) {
 	wire := s.cfg.Link.TransferCycles(s.cfg.Mix[r.class].ReqBytes)
 	r.net += wire
-	s.schedule(r.sendAt+wire, evArrival, -1, r)
+	s.schedule(r.sendAt+wire, evArrival, r)
 }
 
 // Run feeds arrivals until the horizon, then drains every request still in
@@ -649,32 +580,32 @@ func (s *OpenSim) Run(horizon uint64) uint64 {
 		}
 	}
 	if s.tickEvery > 0 && s.onTick != nil {
-		s.schedule(s.tickEvery, evTick, -1, nil)
+		s.schedule(s.tickEvery, evTick, nil)
 	}
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		s.now = e.at
+	for s.events.Len() > 0 {
+		at, e := s.events.Pop()
+		s.now = at
 		switch e.kind {
 		case evArrival:
 			s.Stats.Offered++
 			// Keep the open arrival process primed.
 			if s.arr != nil {
-				if at := s.arr.Next(); at < horizon {
-					s.pushArrival(s.newReq(at, -1))
+				if next := s.arr.Next(); next < horizon {
+					s.pushArrival(s.newReq(next, -1))
 				}
 			}
-			s.admit(e.req, e.at)
+			s.admit(e.req, at)
 		case evCall:
-			s.stepCall(e.req, e.at)
+			s.stepCall(e.req, at)
 		case evDone:
-			n := s.nodes[e.node]
+			n := s.nodes[e.req.node]
 			n.busy--
-			s.finalize(e.req, e.at, horizon)
-			s.dispatch(n, e.at)
+			s.finalize(e.req, at, horizon)
+			s.dispatch(n, at)
 		case evTick:
-			s.onTick(e.at, s)
-			if len(s.events) > 0 {
-				s.schedule(e.at+s.tickEvery, evTick, -1, nil)
+			s.onTick(at, s)
+			if s.events.Len() > 0 {
+				s.schedule(at+s.tickEvery, evTick, nil)
 			}
 		}
 	}
@@ -684,12 +615,13 @@ func (s *OpenSim) Run(horizon uint64) uint64 {
 // route picks a healthy node for an arrival at t, or nil when every node
 // is down.
 func (s *OpenSim) route(t uint64) *openNode {
-	alive := make([]*openNode, 0, len(s.nodes))
+	alive := s.alive[:0]
 	for _, n := range s.nodes {
 		if down, _ := s.faults.PeerDown(n.peer, t); !down {
 			alive = append(alive, n)
 		}
 	}
+	s.alive = alive
 	if len(alive) == 0 {
 		return nil
 	}
@@ -725,16 +657,13 @@ func (s *OpenSim) route(t uint64) *openNode {
 	}
 }
 
-// shed resolves a request without service.
+// shed resolves a request without service and frees it.
 func (s *OpenSim) shed(r *openReq, t uint64, cause int) {
 	s.Stats.Shed++
 	s.Stats.ShedByCause[cause]++
-	if s.coll != nil {
-		sp := s.coll.BeginClass("shed", r.sendAt)
-		sp.Add(reqtrace.PhaseNet, r.net)
-		s.coll.End(sp, t)
-	}
+	s.coll.Complete("shed", r.sendAt, t, &[reqtrace.NumPhases]uint64{reqtrace.PhaseNet: r.net})
 	s.closedNext(r, t)
+	s.free = append(s.free, r)
 }
 
 // admit runs a request through the load balancer and node admission.
@@ -796,10 +725,10 @@ func (s *OpenSim) startService(n *openNode, r *openReq, t uint64) {
 	r.callIdx, r.attempt = 0, 0
 	r.ok = true
 	if m.DBCalls == 0 {
-		s.schedule(t+cpu, evDone, n.id, r)
+		s.schedule(t+cpu, evDone, r)
 		return
 	}
-	s.schedule(t+cpu, evCall, n.id, r)
+	s.schedule(t+cpu, evCall, r)
 }
 
 // stepCall runs one shard call attempt at its issue time t and schedules
@@ -830,20 +759,20 @@ func (s *OpenSim) stepCall(r *openReq, t uint64) {
 		r.callIdx++
 		r.attempt = 0
 		if r.callIdx >= m.DBCalls {
-			s.schedule(res.doneAt, evDone, n.id, r)
+			s.schedule(res.doneAt, evDone, r)
 			return
 		}
-		s.schedule(res.doneAt, evCall, n.id, r)
+		s.schedule(res.doneAt, evCall, r)
 		return
 	}
 	if r.attempt >= s.cfg.Policy.MaxAttempts || (budget != nil && !budget.Allow()) {
 		r.ok = false
-		s.schedule(res.doneAt, evDone, n.id, r)
+		s.schedule(res.doneAt, evDone, r)
 		return
 	}
 	back := uint64(s.cfg.Policy.Backoff(r.attempt, s.rng))
 	r.think += back
-	s.schedule(res.doneAt+back, evCall, n.id, r)
+	s.schedule(res.doneAt+back, evCall, r)
 }
 
 // attemptResult is one shard attempt's outcome.
@@ -932,13 +861,13 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 
 // finalize resolves a served request at worker-free time done: the
 // response crosses the wire, the client judges it against its deadline,
-// and the span (if collected) is completed.
+// its latency (if collected) is recorded, and the request is freed.
 func (s *OpenSim) finalize(r *openReq, done uint64, horizon uint64) {
 	m := s.cfg.Mix[r.class]
 	class := m.Name
 	respBytes := m.RespBytes
 	if !r.ok {
-		class = m.Name + ".fail"
+		class = s.failClass[r.class]
 		respBytes = s.errRespBytes
 	}
 	respX := s.cfg.Link.TransferCycles(respBytes)
@@ -953,16 +882,12 @@ func (s *OpenSim) finalize(r *openReq, done uint64, horizon uint64) {
 	} else {
 		s.Stats.Failed++
 	}
-	if s.coll != nil {
-		sp := s.coll.BeginClass(class, r.sendAt)
-		sp.Add(reqtrace.PhaseCPU, r.cpu)
-		sp.Add(reqtrace.PhaseNet, r.net)
-		sp.Add(reqtrace.PhaseDBQueue, r.dbq)
-		sp.Add(reqtrace.PhaseDBService, r.dbs)
-		sp.Add(reqtrace.PhaseThink, r.think)
-		s.coll.End(sp, end)
-	}
+	s.coll.Complete(class, r.sendAt, end, &[reqtrace.NumPhases]uint64{
+		reqtrace.PhaseCPU: r.cpu, reqtrace.PhaseNet: r.net, reqtrace.PhaseDBQueue: r.dbq,
+		reqtrace.PhaseDBService: r.dbs, reqtrace.PhaseThink: r.think,
+	})
 	s.closedNextAt(r, end, horizon)
+	s.free = append(s.free, r)
 }
 
 // closedNext reschedules a closed-loop client after a request resolved
@@ -1032,7 +957,7 @@ func (s *OpenSim) Snapshot(t uint64) OpenSnapshot {
 		ss := ShardSnap{ID: k, Util: sh.Utilization(), Served: sh.Served()}
 		if s.limiters != nil {
 			ss.Limit = s.limiters[k].aimd.Limit()
-			ss.InFlight = len(s.limiters[k].rel)
+			ss.InFlight = s.limiters[k].rel.Len()
 		}
 		ss.Down, _ = s.faults.PeerDown(ShardPeer(k), t)
 		snap.Shards = append(snap.Shards, ss)

@@ -184,27 +184,10 @@ func (c *Collector) Begin(op *trace.Op, start uint64) *Span {
 	if !c.Tracks(op) {
 		return nil
 	}
-	return c.open(&Span{class: op.Tag, start: start})
-}
-
-// open assigns the span its sequence number and registers it in-flight.
-func (c *Collector) open(s *Span) *Span {
 	c.seq++
-	s.seq = c.seq
+	s := &Span{class: op.Tag, start: start, seq: c.seq}
 	c.inflight[s.seq] = s
 	return s
-}
-
-// BeginClass opens a span for an explicitly named request class dispatched
-// at start — the entry point for open-system simulations, whose requests
-// are not trace operations. Like Begin, it is nil-safe on the collector,
-// and the returned span is only an accumulator: nothing is recorded until
-// End.
-func (c *Collector) BeginClass(class string, start uint64) *Span {
-	if c == nil || class == "" {
-		return nil
-	}
-	return c.open(&Span{class: class, start: start})
 }
 
 // End completes a span at time end, folding it into the class and interval
@@ -214,18 +197,37 @@ func (c *Collector) End(s *Span, end uint64) {
 		return
 	}
 	delete(c.inflight, s.seq)
-	total := uint64(0)
-	if end > s.start {
-		total = end - s.start
+	c.fold(s.class, s.start, end, &s.phase)
+}
+
+// Complete records a request of an explicitly named class that ran from
+// start to end with the given phase cycles — the entry point for
+// open-system simulations, whose requests are not trace operations and
+// are resolved in one call. It records exactly what a span opened at start
+// and ended at end would, without allocating the span. Like Begin, it is
+// nil-safe on the collector, and an empty class records nothing.
+func (c *Collector) Complete(class string, start, end uint64, phase *[NumPhases]uint64) {
+	if c == nil || class == "" {
+		return
 	}
-	acc := c.classes[s.class]
+	c.seq++
+	c.fold(class, start, end, phase)
+}
+
+// fold adds one completed request to the class and interval accumulators.
+func (c *Collector) fold(class string, start, end uint64, phase *[NumPhases]uint64) {
+	total := uint64(0)
+	if end > start {
+		total = end - start
+	}
+	acc := c.classes[class]
 	if acc == nil {
 		acc = &classAcc{}
-		c.classes[s.class] = acc
+		c.classes[class] = acc
 	}
 	acc.hdr.Record(total)
 	acc.total += total
-	for p, v := range s.phase {
+	for p, v := range phase {
 		acc.phases[p] += v
 	}
 	c.all.Record(total)
@@ -239,10 +241,10 @@ func (c *Collector) End(s *Span, end uint64) {
 	for len(c.bins) <= bin {
 		c.bins = append(c.bins, &intervalAcc{classes: make(map[string]*obs.HDR)})
 	}
-	h := c.bins[bin].classes[s.class]
+	h := c.bins[bin].classes[class]
 	if h == nil {
 		h = &obs.HDR{}
-		c.bins[bin].classes[s.class] = h
+		c.bins[bin].classes[class] = h
 	}
 	h.Record(total)
 }

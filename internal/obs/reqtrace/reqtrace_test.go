@@ -80,6 +80,37 @@ func TestSpanLifecycleAndPhases(t *testing.T) {
 	}
 }
 
+// TestCompleteMatchesSpan: Complete records exactly what a span begun and
+// ended over the same interval with the same phases would — report bytes
+// and sequence numbers — and allocates no span.
+func TestCompleteMatchesSpan(t *testing.T) {
+	viaSpan := NewCollector(Options{IntervalCycles: 1000})
+	viaComplete := NewCollector(Options{IntervalCycles: 1000})
+	for i := uint64(0); i < 50; i++ {
+		class := []string{"order", "shed", "order.fail"}[i%3]
+		start, end := 100*i, 100*i+37*(i%7)
+		var ph [NumPhases]uint64
+		ph[PhaseNet], ph[PhaseThink] = i, 2*i
+		s := viaSpan.Begin(mkOp(class, true), start)
+		s.Add(PhaseNet, ph[PhaseNet])
+		s.Add(PhaseThink, ph[PhaseThink])
+		viaSpan.End(s, end)
+		viaComplete.Complete(class, start, end, &ph)
+	}
+	if !bytes.Equal(viaSpan.ReportJSON(), viaComplete.ReportJSON()) {
+		t.Fatal("Complete and Begin/End reports differ")
+	}
+	if viaSpan.seq != viaComplete.seq || viaComplete.InFlightCount() != 0 {
+		t.Fatalf("seq %d vs %d, %d in flight", viaSpan.seq, viaComplete.seq, viaComplete.InFlightCount())
+	}
+	var ph [NumPhases]uint64
+	if allocs := testing.AllocsPerRun(100, func() { viaComplete.Complete("order", 0, 10, &ph) }); allocs != 0 {
+		t.Fatalf("Complete allocates %v per call", allocs)
+	}
+	var nilC *Collector
+	nilC.Complete("order", 0, 10, &ph) // nil collector: a no-op
+}
+
 func TestIntervalBinning(t *testing.T) {
 	c := NewCollector(Options{IntervalCycles: 1000})
 	c.Reset(0)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/evq"
 	"repro/internal/fault"
 	"repro/internal/ifetch"
 	"repro/internal/memsys"
@@ -187,66 +188,6 @@ type semState struct {
 // idleSentinel marks a processor that is not in an idle stretch.
 const idleSentinel = ^uint64(0)
 
-type event struct {
-	time uint64
-	seq  uint64
-	th   *thread
-}
-
-// eventHeap is a binary min-heap ordered by (time, seq). It is typed —
-// not container/heap — so pushes and pops move event values directly
-// instead of boxing them through interface{} (one heap allocation per
-// wakeup otherwise, millions per run). Pop order is a total order (seq is
-// unique), so it is independent of the internal array layout.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !hh.less(i, p) {
-			break
-		}
-		hh[i], hh[p] = hh[p], hh[i]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	n := len(hh) - 1
-	hh[0], hh[n] = hh[n], hh[0]
-	ev := hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && hh.less(r, l) {
-			m = r
-		}
-		if !hh.less(m, i) {
-			break
-		}
-		hh[i], hh[m] = hh[m], hh[i]
-		i = m
-	}
-	return ev
-}
-
 // Engine is the machine: processors, scheduler, locks, and accounting.
 type Engine struct {
 	cfg    Config
@@ -266,10 +207,11 @@ type Engine struct {
 	acct     []Modes
 	inPSet   []bool
 
-	threads  []*thread
-	readyQ   []*thread
-	events   eventHeap
-	eventSeq uint64
+	threads []*thread
+	readyQ  []*thread
+	// events holds sleeping threads keyed by wake time. Its (time, push
+	// order) total order keeps dispatch independent of the heap layout.
+	events evq.Queue[*thread]
 
 	// Per-run scratch state reused across stop-the-world collections.
 	gcWorkers   []int
@@ -432,8 +374,7 @@ func (e *Engine) addThread(name string, src OpSource, mask uint64) int {
 }
 
 func (e *Engine) wakeAt(th *thread, t uint64) {
-	e.eventSeq++
-	e.events.push(event{time: t, seq: e.eventSeq, th: th})
+	e.events.Push(t, th)
 	// If an eligible processor is sitting in an idle stretch that covers
 	// t, pull it back so the thread is dispatched at its wake time —
 	// preferring its cache-warm home processor.
@@ -455,24 +396,27 @@ func (e *Engine) wakeAt(th *thread, t uint64) {
 }
 
 func (e *Engine) drainEvents(now uint64) {
-	for len(e.events) > 0 && e.events[0].time <= now {
-		ev := e.events.pop()
-		th := ev.th
+	for e.events.Len() > 0 {
+		if at, _ := e.events.Peek(); at > now {
+			break
+		}
+		at, th := e.events.Pop()
 		if th.state == stBlockedIO {
 			e.ioBlocked--
 		}
 		th.state = stReady
 		th.bound = false
-		th.readyAt = ev.time
+		th.readyAt = at
 		e.readyQ = append(e.readyQ, th)
 	}
 }
 
 func (e *Engine) nextEventTime() (uint64, bool) {
-	if len(e.events) == 0 {
+	if e.events.Len() == 0 {
 		return 0, false
 	}
-	return e.events[0].time, true
+	at, _ := e.events.Peek()
+	return at, true
 }
 
 // pickThread removes and returns the best ready thread for cpuID: first a
