@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -100,6 +101,15 @@ func registerFlags(fs *flag.FlagSet) *appFlags {
 	return af
 }
 
+// msCycles converts a millisecond flag to simulated cycles. The value must
+// be finite and positive, and fit the cycle clock.
+func msCycles(name string, ms float64) (float64, error) {
+	if c := ms * cyclesPerMS; ms > 0 && c < math.MaxUint64 {
+		return c, nil
+	}
+	return 0, fmt.Errorf("-%s %v: want a positive number of milliseconds within the cycle clock's range", name, ms)
+}
+
 // buildConfig turns the flag surface into a validated topology. The arrival
 // rate is a placeholder; each sweep point sets it from its multiplier.
 func buildConfig(af *appFlags) (cluster.OpenConfig, error) {
@@ -108,7 +118,13 @@ func buildConfig(af *appFlags) (cluster.OpenConfig, error) {
 	cfg.WorkersPerNode = *af.workers
 	cfg.Shards = *af.shards
 	cfg.QueueCap = *af.queueCap
-	cfg.DeadlineCycles = uint64(*af.deadlineMS * cyclesPerMS)
+	deadline, err := msCycles("deadline-ms", *af.deadlineMS)
+	if err != nil {
+		return cfg, err
+	}
+	if cfg.DeadlineCycles = uint64(deadline); cfg.DeadlineCycles == 0 {
+		return cfg, fmt.Errorf("-deadline-ms %v rounds to zero cycles", *af.deadlineMS)
+	}
 	lb, err := cluster.ParseLBPolicy(*af.lb)
 	if err != nil {
 		return cfg, err
@@ -116,8 +132,8 @@ func buildConfig(af *appFlags) (cluster.OpenConfig, error) {
 	cfg.LB = lb
 	if *af.arrivalPat == "off" {
 		cfg.ClosedClients = *af.clients
-		cfg.ThinkCycles = *af.thinkMS * cyclesPerMS
-		return cfg, nil
+		cfg.ThinkCycles, err = msCycles("think-ms", *af.thinkMS)
+		return cfg, err
 	}
 	pat, err := arrival.ParsePattern(*af.arrivalPat)
 	if err != nil {
@@ -155,16 +171,19 @@ func loadFaults(spec string, horizon uint64) (*fault.Schedule, error) {
 }
 
 // parseSweep parses the -sweep list; an empty spec falls back to a single
-// point at -offered.
+// point at -offered. Every multiplier must be finite and positive.
 func parseSweep(spec string, offered float64) ([]float64, error) {
 	if spec == "" {
+		if !(offered > 0) || math.IsInf(offered, 1) {
+			return nil, fmt.Errorf("bad -offered multiplier %v", offered)
+		}
 		return []float64{offered}, nil
 	}
 	var mults []float64
 	for _, f := range strings.Split(spec, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("loadsim: bad sweep multiplier %q", f)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("bad -sweep multiplier %q", f)
 		}
 		mults = append(mults, v)
 	}

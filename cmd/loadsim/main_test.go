@@ -54,6 +54,32 @@ func TestParseSweep(t *testing.T) {
 	}
 }
 
+// TestRejectsBadFloatFlags: a float flag that is NaN, infinite, not
+// positive or out of the cycle clock's range fails with exit 1 before
+// anything reaches stdout.
+func TestRejectsBadFloatFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-deadline-ms", "NaN"},
+		{"-deadline-ms", "-5"},
+		{"-deadline-ms", "+Inf"},
+		{"-deadline-ms", "1e300"},
+		{"-deadline-ms", "1e-9"},
+		{"-arrival", "off", "-think-ms", "NaN"},
+		{"-arrival", "off", "-think-ms", "Inf"},
+		{"-arrival", "off", "-think-ms", "0"},
+		{"-sweep", "nan"},
+		{"-sweep", "0.5,+Inf"},
+		{"-offered", "+Inf"},
+		{"-offered", "NaN"},
+	} {
+		var out, errw bytes.Buffer
+		code := run(append(args, "-flight", "off", "-horizon", "1000000"), &out, &errw)
+		if code != 1 || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q; want exit 1 and no stdout (stderr %q)", args, code, out.String(), errw.String())
+		}
+	}
+}
+
 func TestLoadFaultsBuiltins(t *testing.T) {
 	if s, err := loadFaults("", 100); s != nil || err != nil {
 		t.Fatalf("empty spec: %v, %v", s, err)

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs"
@@ -20,28 +21,39 @@ import (
 )
 
 func main() {
-	asJSON := flag.Bool("json", false, "emit the triage report as JSON instead of Markdown")
-	out := flag.String("o", "", "write the report to this file (atomic rename) instead of stdout")
-	minRel := flag.Float64("min-rel", 0.02, "noise floor: drop deltas with relative change below this")
-	minAbs := flag.Float64("min-abs", 0, "drop deltas whose larger side is below this absolute value")
-	top := flag.Int("top", 0, "keep only the top-N ranked deltas (0 = all)")
-	fail := flag.Bool("fail", false, "exit 1 when any significant delta survives the filters")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: obsdiff [flags] <artifact-a> <artifact-b>\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind a testable seam; it returns the process
+// exit code: 2 for a usage error, 1 for a failed diff or (with -fail) a
+// significant delta, 0 otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("obsdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit the triage report as JSON instead of Markdown")
+	out := fs.String("o", "", "write the report to this file (atomic rename) instead of stdout")
+	minRel := fs.Float64("min-rel", 0.02, "noise floor: drop deltas with relative change below this")
+	minAbs := fs.Float64("min-abs", 0, "drop deltas whose larger side is below this absolute value")
+	top := fs.Int("top", 0, "keep only the top-N ranked deltas (0 = all)")
+	fail := fs.Bool("fail", false, "exit 1 when any significant delta survives the filters")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: obsdiff [flags] <artifact-a> <artifact-b>\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
 
-	rep, err := obsdiff.DiffFiles(flag.Arg(0), flag.Arg(1), obsdiff.Options{
+	rep, err := obsdiff.DiffFiles(fs.Arg(0), fs.Arg(1), obsdiff.Options{
 		MinRel: *minRel, MinAbs: *minAbs, Top: *top,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obsdiff: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "obsdiff: %v\n", err)
+		return 1
 	}
 
 	buf := rep.Markdown()
@@ -50,14 +62,15 @@ func main() {
 	}
 	if *out != "" {
 		if err := obs.AtomicWriteFile(*out, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "obsdiff: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "obsdiff: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "obsdiff: wrote %s (%d deltas)\n", *out, len(rep.Deltas))
+		fmt.Fprintf(stderr, "obsdiff: wrote %s (%d deltas)\n", *out, len(rep.Deltas))
 	} else {
-		os.Stdout.Write(buf)
+		stdout.Write(buf)
 	}
 	if *fail && len(rep.Deltas) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -239,7 +239,7 @@ func (c OpenConfig) Validate() error {
 		}
 	}
 	if c.ClosedClients > 0 {
-		if c.ThinkCycles <= 0 {
+		if !(c.ThinkCycles > 0) {
 			return fmt.Errorf("cluster: closed-loop mode needs positive think time")
 		}
 		return nil
@@ -373,29 +373,6 @@ func (n *openNode) popFront() *openReq {
 	return r
 }
 
-// shardLimiter pairs the AIMD control law with time-aware in-flight
-// tracking: held slots are released when their call's wire time expires.
-type shardLimiter struct {
-	aimd *fault.AIMD
-	rel  evq.Queue[struct{}] // held slots, keyed by release time
-}
-
-func (l *shardLimiter) expire(t uint64) {
-	for l.rel.Len() > 0 {
-		if at, _ := l.rel.Peek(); at > t {
-			return
-		}
-		l.rel.Pop()
-	}
-}
-
-func (l *shardLimiter) tryAcquire(t uint64) bool {
-	l.expire(t)
-	return l.rel.Len() < int(l.aimd.Limit())
-}
-
-func (l *shardLimiter) hold(release uint64) { l.rel.Push(release, struct{}{}) }
-
 // OpenSim is the open-system cluster simulation.
 type OpenSim struct {
 	cfg    OpenConfig
@@ -413,7 +390,7 @@ type OpenSim struct {
 
 	nodes    []*openNode
 	shards   []*db.Server
-	limiters []*shardLimiter      // per shard, nil when controls off
+	limiters []*fault.AIMD        // per shard, nil when controls off
 	budgets  []*fault.RetryBudget // per node, nil when controls off
 	breakers [][]*fault.Breaker   // [node][shard]
 
@@ -474,7 +451,7 @@ func NewOpen(cfg OpenConfig, seed uint64) (*OpenSim, error) {
 	}
 	if cfg.Controls.Enabled {
 		for range s.shards {
-			s.limiters = append(s.limiters, &shardLimiter{aimd: fault.NewAIMD(cfg.Controls.AIMD)})
+			s.limiters = append(s.limiters, fault.NewAIMD(cfg.Controls.AIMD))
 		}
 		for range s.nodes {
 			s.budgets = append(s.budgets, fault.NewRetryBudget(cfg.Controls.Retry))
@@ -674,7 +651,6 @@ func (s *OpenSim) admit(r *openReq, t uint64) {
 		return
 	}
 	if n.brown != nil && n.brown.DropClass(s.cfg.Mix[r.class].Priority) {
-		n.brown.Stats.Shed++
 		s.shed(r, t, shedBrownout)
 		return
 	}
@@ -738,7 +714,7 @@ func (s *OpenSim) stepCall(r *openReq, t uint64) {
 	n := s.nodes[r.node]
 	m := s.cfg.Mix[r.class]
 	br := s.breakers[n.id][r.shard]
-	var lim *shardLimiter
+	var lim *fault.AIMD
 	if s.limiters != nil {
 		lim = s.limiters[r.shard]
 	}
@@ -782,14 +758,13 @@ type attemptResult struct {
 }
 
 // attempt issues a single shard call attempt at time t.
-func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shardLimiter, peer uint8, m WorkClass, t uint64) attemptResult {
+func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *fault.AIMD, peer uint8, m WorkClass, t uint64) attemptResult {
 	const localRejectCycles = 2_000
 	pol := &s.cfg.Policy
 	timeout := uint64(pol.TimeoutCycles)
 
 	// Client-side concurrency limit: refused attempts never leave the node.
-	if lim != nil && !lim.tryAcquire(t) {
-		lim.aimd.Reject()
+	if lim != nil && !lim.TryAcquire(t) {
 		s.Stats.LimiterHits++
 		r.think += localRejectCycles
 		return attemptResult{doneAt: t + localRejectCycles}
@@ -814,8 +789,8 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 		r.net += rtt
 		br.Record(t+rtt, false)
 		if lim != nil {
-			lim.hold(t + rtt)
-			lim.aimd.Outcome(t+rtt, rtt, false)
+			lim.Hold(t + rtt)
+			lim.Outcome(t+rtt, rtt, false)
 		}
 		s.Stats.FastFails++
 		return attemptResult{doneAt: t + rtt}
@@ -824,8 +799,8 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 		r.think += timeout
 		br.Record(t+timeout, false)
 		if lim != nil {
-			lim.hold(t + timeout)
-			lim.aimd.Outcome(t+timeout, timeout, false)
+			lim.Hold(t + timeout)
+			lim.Outcome(t+timeout, timeout, false)
 		}
 		s.Stats.LostCalls++
 		return attemptResult{doneAt: t + timeout}
@@ -843,8 +818,8 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 		s.Stats.WastedDBCycles += svc
 		br.Record(t+timeout, false)
 		if lim != nil {
-			lim.hold(t + timeout)
-			lim.aimd.Outcome(t+timeout, rtt, false)
+			lim.Hold(t + timeout)
+			lim.Outcome(t+timeout, rtt, false)
 		}
 		return attemptResult{doneAt: t + timeout}
 	}
@@ -853,8 +828,8 @@ func (s *OpenSim) attempt(n *openNode, r *openReq, br *fault.Breaker, lim *shard
 	r.dbs += svc
 	br.Record(done+respX, true)
 	if lim != nil {
-		lim.hold(done)
-		lim.aimd.Outcome(done+respX, rtt, true)
+		lim.Hold(done)
+		lim.Outcome(done+respX, rtt, true)
 	}
 	return attemptResult{success: true, doneAt: done + respX}
 }
@@ -956,8 +931,8 @@ func (s *OpenSim) Snapshot(t uint64) OpenSnapshot {
 	for k, sh := range s.shards {
 		ss := ShardSnap{ID: k, Util: sh.Utilization(), Served: sh.Served()}
 		if s.limiters != nil {
-			ss.Limit = s.limiters[k].aimd.Limit()
-			ss.InFlight = s.limiters[k].rel.Len()
+			ss.Limit = s.limiters[k].Limit()
+			ss.InFlight = s.limiters[k].InFlight()
 		}
 		ss.Down, _ = s.faults.PeerDown(ShardPeer(k), t)
 		snap.Shards = append(snap.Shards, ss)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/arrival"
@@ -59,6 +60,10 @@ func TestOpenConfigValidate(t *testing.T) {
 	bad.ClosedClients = 5
 	if err := bad.Validate(); err == nil {
 		t.Error("closed mode without think time validated")
+	}
+	bad.ThinkCycles = math.NaN()
+	if err := bad.Validate(); err == nil {
+		t.Error("closed mode with NaN think time validated")
 	}
 }
 

@@ -388,6 +388,14 @@ func TestResponseTimeHistograms(t *testing.T) {
 		if h.Mean() <= 0 {
 			t.Fatalf("%s: nonpositive mean latency", tag)
 		}
+		// HDR bounds: the percentiles lie between the exact extremes, and
+		// every timed operation was counted once.
+		if h.Quantile(0.5) < h.Min() || h.Quantile(0.9) > h.Max() {
+			t.Fatalf("%s: p50 %d / p90 %d outside [%d, %d]", tag, h.Quantile(0.5), h.Quantile(0.9), h.Min(), h.Max())
+		}
+		if h.Count() > res.OpsByTag[tag] {
+			t.Fatalf("%s: %d latencies for %d operations", tag, h.Count(), res.OpsByTag[tag])
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func TestFaultMetricsAndTraceEvents(t *testing.T) {
 	ob.Registry = obs.NewRegistry()
 	delta := ObserveRun(sys, ob, nil, 2_000_000, 16_000_000)
 
-	names := delta.CounterSet().Names()
+	names := ob.Registry.Names()
 	registered := func(name string) bool {
 		for _, n := range names {
 			if n == name {

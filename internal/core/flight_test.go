@@ -39,7 +39,6 @@ func TestFlightPassivity(t *testing.T) {
 	if err := sess.Run(recorded, RunSpec{Warmup: warmup, Measure: measure}); err != nil {
 		t.Fatal(err)
 	}
-	delta := run.Snap
 
 	a, b := bare.Engine.Results(), recorded.Engine.Results()
 	if a.BusinessOps != b.BusinessOps {
@@ -70,7 +69,7 @@ func TestFlightPassivity(t *testing.T) {
 	if rec.Ring().Total() == 0 {
 		t.Fatal("flight ring recorded no events")
 	}
-	names := delta.CounterSet().Names()
+	names := run.Obs.Registry.Names()
 	for _, want := range []string{"trace.dropped", "trace.ring_evicted"} {
 		found := false
 		for _, n := range names {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/memsys"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // AttachObserver wires an observer through an assembled system (tracer into
@@ -117,7 +116,7 @@ func registerMetrics(sys *System, r *obs.Registry) {
 
 	r.Counter("jvm.gc.count", func() uint64 { return eng.Results().GCCount })
 	r.Counter("jvm.gc.wall_cycles", func() uint64 { return eng.Results().GCWall })
-	r.Histogram("jvm.gc.pause_cycles", func() stats.Histogram { return *eng.GCPauses() })
+	r.Histogram("jvm.gc.pause_cycles", eng.GCPauses)
 	r.Gauge("jvm.heap.eden_used_bytes", func() float64 { return float64(sys.Heap.EdenUsed()) })
 	r.Gauge("jvm.heap.old_used_bytes", func() float64 { return float64(sys.Heap.OldUsed()) })
 

@@ -1,6 +1,10 @@
 package fault
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/evq"
+)
 
 // This file holds the adaptive overload-control laws the open-system
 // cluster uses to survive offered load beyond capacity. Like the Breaker
@@ -54,8 +58,7 @@ func (c CoDelConfig) Validate() error {
 
 // CoDelStats counts controller decisions.
 type CoDelStats struct {
-	Admits uint64 // dequeues allowed through
-	Drops  uint64 // head drops
+	Drops uint64 // head drops
 }
 
 // CoDel is the controlled-delay admission controller, consulted at every
@@ -90,7 +93,6 @@ func (c *CoDel) OnDequeue(now, qdelay uint64) (drop bool) {
 		// Standing delay resolved: leave dropping state, reset tracking.
 		c.firstAbove = 0
 		c.dropping = false
-		c.Stats.Admits++
 		return false
 	}
 	if c.firstAbove == 0 {
@@ -103,7 +105,6 @@ func (c *CoDel) OnDequeue(now, qdelay uint64) (drop bool) {
 			c.Stats.Drops++
 			return true
 		}
-		c.Stats.Admits++
 		return false
 	}
 	if now >= c.firstAbove {
@@ -114,7 +115,6 @@ func (c *CoDel) OnDequeue(now, qdelay uint64) (drop bool) {
 		c.Stats.Drops++
 		return true
 	}
-	c.Stats.Admits++
 	return false
 }
 
@@ -184,23 +184,16 @@ func (c AIMDConfig) Validate() error {
 	return nil
 }
 
-// AIMDStats counts limiter activity.
-type AIMDStats struct {
-	Increases uint64 // additive steps (fast completions)
-	Decreases uint64 // multiplicative cuts
-	Rejected  uint64 // acquisitions refused at the limit (caller-reported)
-}
-
-// AIMD is the adaptive concurrency control law. It owns only the limit;
-// the caller tracks its own in-flight population against Limit() (in a
-// discrete-event simulation, in-flight bookkeeping needs the caller's event
-// clock) and reports completions through Outcome.
+// AIMD is the adaptive concurrency limiter: the control law and the slots
+// it admits. A discrete-event caller knows when a call's slot frees only
+// when it issues the call, so each slot is held until a release time on
+// the caller's clock (Hold) and freed once the clock passes it
+// (TryAcquire). Completions feed the law through Outcome.
 type AIMD struct {
 	cfg          AIMDConfig
 	limit        float64
 	lastDecrease uint64
-
-	Stats AIMDStats
+	held         evq.Queue[struct{}] // held slots, keyed by release time
 }
 
 // NewAIMD starts the limiter at the midpoint of its range; cfg must
@@ -212,8 +205,24 @@ func NewAIMD(cfg AIMDConfig) *AIMD {
 // Limit returns the current concurrency limit (floor it for admission).
 func (l *AIMD) Limit() float64 { return l.limit }
 
-// Reject records an admission refused at the limit.
-func (l *AIMD) Reject() { l.Stats.Rejected++ }
+// TryAcquire frees the slots released at or before now and reports whether
+// the limit has room for one more. It takes no slot: the caller holds one
+// with Hold once it knows the call's release time.
+func (l *AIMD) TryAcquire(now uint64) bool {
+	for l.held.Len() > 0 {
+		if at, _ := l.held.Peek(); at > now {
+			break
+		}
+		l.held.Pop()
+	}
+	return l.held.Len() < int(l.limit)
+}
+
+// Hold takes a slot until cycle release.
+func (l *AIMD) Hold(release uint64) { l.held.Push(release, struct{}{}) }
+
+// InFlight returns the slots held, as of the last TryAcquire.
+func (l *AIMD) InFlight() int { return l.held.Len() }
 
 // Outcome feeds one completed call: ok is the logical result, rtt its
 // round-trip cycles, now the completion cycle. Slow or failed calls cut the
@@ -226,7 +235,6 @@ func (l *AIMD) Outcome(now, rtt uint64, ok bool) {
 				l.limit = l.cfg.MinLimit
 			}
 			l.lastDecrease = now
-			l.Stats.Decreases++
 		}
 		return
 	}
@@ -234,7 +242,6 @@ func (l *AIMD) Outcome(now, rtt uint64, ok bool) {
 	if l.limit > l.cfg.MaxLimit {
 		l.limit = l.cfg.MaxLimit
 	}
-	l.Stats.Increases++
 }
 
 // RetryBudgetConfig parameterizes the retry token bucket.
@@ -263,19 +270,11 @@ func (c RetryBudgetConfig) Validate() error {
 	return nil
 }
 
-// RetryBudgetStats counts budget activity.
-type RetryBudgetStats struct {
-	Spent  uint64 // retries admitted
-	Denied uint64 // retries refused (bucket empty)
-}
-
 // RetryBudget is the token bucket that bounds retry amplification. Earn is
 // called once per primary (first-attempt) request; Allow gates each retry.
 type RetryBudget struct {
 	cfg    RetryBudgetConfig
 	tokens float64
-
-	Stats RetryBudgetStats
 }
 
 // NewRetryBudget returns a full bucket; cfg must validate.
@@ -295,10 +294,8 @@ func (b *RetryBudget) Earn() {
 func (b *RetryBudget) Allow() bool {
 	if b.tokens >= 1 {
 		b.tokens--
-		b.Stats.Spent++
 		return true
 	}
-	b.Stats.Denied++
 	return false
 }
 
@@ -348,13 +345,6 @@ func (c BrownoutConfig) Validate() error {
 	return nil
 }
 
-// BrownoutStats counts degradation activity.
-type BrownoutStats struct {
-	Engagements uint64 // level increases
-	Releases    uint64 // level decreases
-	Shed        uint64 // optional requests dropped (caller-reported)
-}
-
 // Brownout is the stepped degradation controller. Observe feeds it queue
 // delays (typically at every dequeue); DropClass answers admission-time
 // questions about optional work.
@@ -362,8 +352,6 @@ type Brownout struct {
 	cfg        BrownoutConfig
 	level      int
 	lastChange uint64
-
-	Stats BrownoutStats
 }
 
 // NewBrownout returns an un-degraded controller; cfg must validate.
@@ -382,17 +370,14 @@ func (b *Brownout) Observe(now, qdelay uint64) {
 	case qdelay >= b.cfg.EngageDelayCycles && b.level < b.cfg.MaxLevel:
 		b.level++
 		b.lastChange = now
-		b.Stats.Engagements++
 	case qdelay <= b.cfg.DisengageDelayCycles && b.level > 0:
 		b.level--
 		b.lastChange = now
-		b.Stats.Releases++
 	}
 }
 
 // DropClass reports whether a request of the given priority should be shed
-// at the current level. Priority 0 is never shed; the stats are updated by
-// the caller only when it actually sheds (it may have no such request).
+// at the current level. Priority 0 is never shed.
 func (b *Brownout) DropClass(priority int) bool {
 	return priority > 0 && priority <= b.level
 }

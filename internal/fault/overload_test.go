@@ -114,9 +114,6 @@ func TestAIMDConverges(t *testing.T) {
 	if got, want := l.Limit(), before*cfg.DecreaseFactor; got != want {
 		t.Errorf("limit %.2f after one congested burst, want single cut to %.2f", got, want)
 	}
-	if l.Stats.Decreases != 1 {
-		t.Errorf("decreases = %d within one cooldown, want 1", l.Stats.Decreases)
-	}
 	// Sustained congestion across cooldowns: floor holds.
 	for i := 0; i < 100; i++ {
 		now += cfg.CooldownCycles + 1
@@ -124,6 +121,42 @@ func TestAIMDConverges(t *testing.T) {
 	}
 	if l.Limit() != cfg.MinLimit {
 		t.Errorf("limit %.2f under sustained congestion, want floor %.2f", l.Limit(), cfg.MinLimit)
+	}
+}
+
+// TestLimiterHeldSlots: slots held to a release time count against the
+// limit until the clock passes that time; then they free and admit again.
+func TestLimiterHeldSlots(t *testing.T) {
+	cfg := DefaultAIMDConfig()
+	cfg.MinLimit, cfg.MaxLimit = 4, 4
+	l := NewAIMD(cfg)
+	const release = 1000
+	for i := 0; i < 4; i++ {
+		if !l.TryAcquire(10) {
+			t.Fatalf("refused slot %d below the limit of 4", i)
+		}
+		l.Hold(release + uint64(i))
+	}
+	if l.TryAcquire(release - 1) {
+		t.Fatal("admitted a fifth slot at the limit")
+	}
+	if got := l.InFlight(); got != 4 {
+		t.Fatalf("in flight %d at the limit, want 4", got)
+	}
+	// At the first release time exactly one slot frees.
+	if !l.TryAcquire(release) {
+		t.Fatal("refused after a slot's release time")
+	}
+	if got := l.InFlight(); got != 3 {
+		t.Fatalf("in flight %d after one release, want 3", got)
+	}
+	l.Hold(2 * release)
+	if l.TryAcquire(release) {
+		t.Fatal("admitted past the limit after re-filling the freed slot")
+	}
+	// Past every release time, all slots are free again.
+	if !l.TryAcquire(2*release) || l.InFlight() != 0 {
+		t.Fatalf("in flight %d after every release, want 0", l.InFlight())
 	}
 }
 
@@ -141,9 +174,6 @@ func TestRetryBudgetStopsStorms(t *testing.T) {
 	}
 	if admitted != int(cfg.Burst) {
 		t.Errorf("storm admitted %d retries, want exactly the burst %d", admitted, int(cfg.Burst))
-	}
-	if b.Stats.Denied != 1000-uint64(admitted) {
-		t.Errorf("denied = %d, want %d", b.Stats.Denied, 1000-admitted)
 	}
 	// Steady state: 10 primaries earn one retry.
 	b2 := NewRetryBudget(cfg)
@@ -205,9 +235,6 @@ func TestBrownoutSteps(t *testing.T) {
 	}
 	if b.Level() != 0 {
 		t.Errorf("level %d after sustained relief, want 0", b.Level())
-	}
-	if b.Stats.Engagements != 2 || b.Stats.Releases != 2 {
-		t.Errorf("engagements/releases = %d/%d, want 2/2", b.Stats.Engagements, b.Stats.Releases)
 	}
 }
 

@@ -166,6 +166,56 @@ func (h *HDR) Merge(o *HDR) {
 	h.sum += o.sum
 }
 
+// Sub returns the bucket-wise difference h - base: the distribution of the
+// samples recorded after base was captured. Bucket counts saturate at zero,
+// so a Reset between the two captures yields usable numbers instead of
+// underflowing. A difference has no exact extremes: its Min and Max are the
+// edges of its lowest and highest occupied buckets, clamped to h's own Min
+// and Max. Neither operand is modified; a nil base yields a copy of h.
+func (h *HDR) Sub(base *HDR) *HDR {
+	if base == nil {
+		return h.Clone()
+	}
+	d := &HDR{}
+	lo, hi := -1, -1
+	for i, c := range h.counts {
+		var b uint64
+		if i < len(base.counts) {
+			b = base.counts[i]
+		}
+		if c <= b {
+			continue
+		}
+		if d.counts == nil {
+			d.counts = make([]uint64, len(h.counts))
+		}
+		d.counts[i] = c - b
+		d.count += c - b
+		if lo < 0 {
+			lo = i
+		}
+		hi = i
+	}
+	if d.count == 0 {
+		return d
+	}
+	d.counts = d.counts[:hi+1]
+	if h.sum > base.sum {
+		d.sum = h.sum - base.sum
+	}
+	d.min = max(hdrLowerEdge(lo), h.min)
+	d.max = min(hdrUpperEdge(hi), h.max)
+	return d
+}
+
+// hdrLowerEdge returns the smallest value mapping to bucket b.
+func hdrLowerEdge(b int) uint64 {
+	if b == 0 {
+		return 0
+	}
+	return hdrUpperEdge(b-1) + 1
+}
+
 // Reset empties the histogram in place, keeping its bucket storage.
 func (h *HDR) Reset() {
 	for i := range h.counts {

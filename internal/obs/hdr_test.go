@@ -223,3 +223,64 @@ func BenchmarkHDRMerge(b *testing.B) {
 		dst.Merge(&src)
 	}
 }
+
+// TestHDRSub: the difference of two captures of one histogram is the
+// distribution of the samples recorded between them, within HDR precision,
+// and a reset between the captures saturates at zero.
+func TestHDRSub(t *testing.T) {
+	rng := simrand.New(11)
+	var h, onlyB HDR
+	for i := 0; i < 1000; i++ {
+		h.Record(uint64(rng.Int63n(1 << 24)))
+	}
+	base := h.Clone()
+	var b []uint64
+	var sumB uint64
+	for i := 0; i < 700; i++ {
+		v := 1<<16 + uint64(rng.Int63n(1<<20))
+		b = append(b, v)
+		sumB += v
+		h.Record(v)
+		onlyB.Record(v)
+	}
+	d := h.Sub(base)
+	if d.Count() != uint64(len(b)) || d.Sum() != sumB {
+		t.Fatalf("delta count/sum = %d/%d, want %d/%d", d.Count(), d.Sum(), len(b), sumB)
+	}
+	sorted := append([]uint64(nil), b...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		got, want := d.Quantile(q), onlyB.Quantile(q)
+		exact := oracleQuantile(sorted, q)
+		if got < exact || got > exact+exact>>hdrSubBits || got < want-want>>hdrSubBits || got > want+want>>hdrSubBits {
+			t.Errorf("delta Quantile(%v) = %d, oracle %d, B-only histogram %d", q, got, exact, want)
+		}
+	}
+	lo, hi := sorted[0], sorted[len(sorted)-1]
+	if d.Min() > lo || d.Min() < lo-lo>>hdrSubBits {
+		t.Errorf("delta min %d not within precision below B's min %d", d.Min(), lo)
+	}
+	if d.Max() < hi || d.Max() > hi+hi>>hdrSubBits || d.Max() > h.Max() {
+		t.Errorf("delta max %d not within precision above B's max %d (later max %d)", d.Max(), hi, h.Max())
+	}
+	if c := h.Sub(nil); c.Count() != h.Count() || c.Quantile(0.9) != h.Quantile(0.9) {
+		t.Error("Sub(nil) is not a copy")
+	}
+
+	// A reset between the captures: buckets the base filled and the fresh
+	// histogram did not saturate at zero instead of wrapping around.
+	h.Reset()
+	h.Record(5)
+	h.Record(1 << 40)
+	r := h.Sub(base)
+	if r.Count() > 2 || r.Sum() > h.Sum() {
+		t.Fatalf("delta across a reset underflowed: count %d sum %d", r.Count(), r.Sum())
+	}
+	if r.Quantile(1) != 1<<40 || r.Max() != h.Max() {
+		t.Fatalf("delta across a reset lost the new maximum: p100 %d max %d", r.Quantile(1), r.Max())
+	}
+	h.Reset()
+	if e := h.Sub(base); e.Count() != 0 || e.Quantile(0.5) != 0 || e.Min() != 0 || e.Max() != 0 {
+		t.Fatalf("empty delta across a reset: %+v", e.Summarize())
+	}
+}

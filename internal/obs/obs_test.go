@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestNilReceiversAreDisabled(t *testing.T) {
@@ -97,23 +95,24 @@ func TestTracerSamplingAndCap(t *testing.T) {
 
 func TestRegistrySnapshotDelta(t *testing.T) {
 	var miss uint64
-	var hist stats.Histogram
+	var hist HDR
 	util := 0.25
 
 	r := NewRegistry()
 	r.Counter("memsys.l2.miss", func() uint64 { return miss })
 	r.Gauge("db.utilization", func() float64 { return util })
-	r.Histogram("jvm.gc.pause_cycles", func() stats.Histogram { return hist })
+	r.Histogram("jvm.gc.pause_cycles", func() *HDR { return &hist })
 
 	miss = 100
-	hist.Add(5000)
+	hist.Record(5000)
 	base := r.Snapshot()
 
 	miss = 250
 	util = 0.75
-	hist.Add(9000)
-	hist.Add(11000)
+	hist.Record(9000)
+	hist.Record(11000)
 	cur := r.Snapshot()
+	hist.Record(1 << 40) // after the snapshot: must not leak into it
 
 	d := cur.Delta(base)
 	if d.Counter("memsys.l2.miss") != 150 {
@@ -122,8 +121,16 @@ func TestRegistrySnapshotDelta(t *testing.T) {
 	if d.Gauge("db.utilization") != 0.75 {
 		t.Fatalf("gauge should keep the later level, got %v", d.Gauge("db.utilization"))
 	}
-	if h := d.Histo("jvm.gc.pause_cycles"); h.Count() != 2 {
-		t.Fatalf("delta histogram count = %d, want 2", h.Count())
+	h := d.Histo("jvm.gc.pause_cycles")
+	if h.Count() != 2 || h.Sum() != 20000 {
+		t.Fatalf("delta histogram count/sum = %d/%d, want 2/20000", h.Count(), h.Sum())
+	}
+	// HDR precision: the p50 bound is 9000's bucket edge, not a power of two.
+	if p50 := h.Quantile(0.5); p50 < 9000 || p50 > 9000*33/32 {
+		t.Fatalf("delta p50 = %d, want within 1/32 above 9000", p50)
+	}
+	if h.Max() != 11000 {
+		t.Fatalf("delta max = %d, want the later snapshot's max 11000", h.Max())
 	}
 
 	var buf bytes.Buffer
@@ -131,15 +138,10 @@ func TestRegistrySnapshotDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"memsys.l2.miss", "150", "jvm.gc.pause_cycles", "count=2"} {
+	for _, want := range []string{"memsys.l2.miss", "150", "jvm.gc.pause_cycles", "count=2", "p99=11000"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering lacks %q:\n%s", want, out)
 		}
-	}
-
-	cs := d.CounterSet()
-	if cs.Get("memsys.l2.miss") != 150 {
-		t.Fatal("CounterSet interop lost the delta")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/stats"
 )
 
 // Registry is the unified, hierarchical metrics registry. Components bind
@@ -24,7 +22,7 @@ type Registry struct {
 	kinds   map[string]metricKind
 	counter map[string]func() uint64
 	gauge   map[string]func() float64
-	histo   map[string]func() stats.Histogram
+	histo   map[string]func() *HDR
 }
 
 type metricKind uint8
@@ -41,7 +39,7 @@ func NewRegistry() *Registry {
 		kinds:   map[string]metricKind{},
 		counter: map[string]func() uint64{},
 		gauge:   map[string]func() float64{},
-		histo:   map[string]func() stats.Histogram{},
+		histo:   map[string]func() *HDR{},
 	}
 }
 
@@ -73,9 +71,9 @@ func (r *Registry) Gauge(name string, read func() float64) {
 	r.gauge[name] = read
 }
 
-// Histogram binds a distribution; read returns a value copy so snapshots
-// can subtract bucket-wise.
-func (r *Registry) Histogram(name string, read func() stats.Histogram) {
+// Histogram binds a distribution. read returns the live histogram (never
+// nil); a snapshot keeps a copy, so deltas can subtract bucket-wise.
+func (r *Registry) Histogram(name string, read func() *HDR) {
 	if r == nil {
 		return
 	}
@@ -100,7 +98,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		reg:      r,
 		counters: make(map[string]uint64, len(r.counter)),
 		gauges:   make(map[string]float64, len(r.gauge)),
-		histos:   make(map[string]stats.Histogram, len(r.histo)),
+		histos:   make(map[string]*HDR, len(r.histo)),
 	}
 	for n, f := range r.counter {
 		s.counters[n] = f()
@@ -109,7 +107,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.gauges[n] = f()
 	}
 	for n, f := range r.histo {
-		s.histos[n] = f()
+		s.histos[n] = f().Clone()
 	}
 	return s
 }
@@ -119,7 +117,7 @@ type Snapshot struct {
 	reg      *Registry
 	counters map[string]uint64
 	gauges   map[string]float64
-	histos   map[string]stats.Histogram
+	histos   map[string]*HDR
 }
 
 // Counter returns a captured counter value.
@@ -128,13 +126,13 @@ func (s *Snapshot) Counter(name string) uint64 { return s.counters[name] }
 // Gauge returns a captured gauge value.
 func (s *Snapshot) Gauge(name string) float64 { return s.gauges[name] }
 
-// Histo returns a captured histogram.
-func (s *Snapshot) Histo(name string) stats.Histogram { return s.histos[name] }
+// Histo returns a captured histogram, or nil for an unknown name.
+func (s *Snapshot) Histo(name string) *HDR { return s.histos[name] }
 
 // Delta returns this snapshot with the base subtracted: counters and
 // histogram buckets subtract (saturating at zero, so a ResetStats between
-// base and s still yields usable numbers); gauges keep their later value
-// (levels do not difference).
+// base and s still yields usable numbers; see HDR.Sub for a histogram's
+// min and max); gauges keep their later value (levels do not difference).
 func (s *Snapshot) Delta(base *Snapshot) *Snapshot {
 	if base == nil {
 		return s
@@ -143,7 +141,7 @@ func (s *Snapshot) Delta(base *Snapshot) *Snapshot {
 		reg:      s.reg,
 		counters: make(map[string]uint64, len(s.counters)),
 		gauges:   s.gauges,
-		histos:   make(map[string]stats.Histogram, len(s.histos)),
+		histos:   make(map[string]*HDR, len(s.histos)),
 	}
 	for n, v := range s.counters {
 		b := base.counters[n]
@@ -152,8 +150,7 @@ func (s *Snapshot) Delta(base *Snapshot) *Snapshot {
 		}
 	}
 	for n, h := range s.histos {
-		b := base.histos[n]
-		d.histos[n] = h.Sub(&b)
+		d.histos[n] = h.Sub(base.histos[n])
 	}
 	return d
 }
@@ -183,19 +180,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	}
 	k, err := io.WriteString(w, b.String())
 	return int64(k), err
-}
-
-// CounterSet flattens the snapshot's counters into a stats.CounterSet (in
-// registration order), interoperating with the pre-registry reporting
-// paths.
-func (s *Snapshot) CounterSet() *stats.CounterSet {
-	cs := stats.NewCounterSet()
-	for _, n := range s.reg.names {
-		if s.reg.kinds[n] == kindCounter {
-			cs.Inc(n, s.counters[n])
-		}
-	}
-	return cs
 }
 
 func topSegment(name string) string {

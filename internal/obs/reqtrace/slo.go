@@ -2,6 +2,7 @@ package reqtrace
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -90,7 +91,9 @@ func parseObjective(s string) (Objective, error) {
 			return o, fmt.Errorf("error objective bound must be a percentage")
 		}
 		p, err := strconv.ParseFloat(strings.TrimSuffix(rhs, "%"), 64)
-		if err != nil || p <= 0 || p >= 100 {
+		// The negated form also rejects NaN; the quotient rejects a
+		// percentage so small that the budget underflows to zero.
+		if err != nil || !(p > 0 && p < 100) || p/100 == 0 {
 			return o, fmt.Errorf("bad error percentage %q", rhs)
 		}
 		o.Budget = p / 100
@@ -116,19 +119,23 @@ func parseObjective(s string) (Objective, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v > 0) {
 		return o, fmt.Errorf("bad latency bound %q", rhs)
 	}
 	switch unit {
 	case "us":
-		o.ThresholdCycles = uint64(v * obs.CyclesPerMicrosecond)
+		v *= obs.CyclesPerMicrosecond
 	case "ms", "": // default milliseconds: the natural unit for request SLOs
-		o.ThresholdCycles = uint64(v * obs.CyclesPerMicrosecond * 1e3)
+		v = v * obs.CyclesPerMicrosecond * 1e3
 	case "s":
-		o.ThresholdCycles = uint64(v * obs.CyclesPerMicrosecond * 1e6)
-	case "cy":
-		o.ThresholdCycles = uint64(v)
+		v = v * obs.CyclesPerMicrosecond * 1e6
 	}
+	// Go leaves the uint64 conversion of a float at or beyond 2^64 (or
+	// infinite) to the implementation, so such bounds are rejected.
+	if !(v < math.MaxUint64) {
+		return o, fmt.Errorf("latency bound %q exceeds the cycle counter's range", rhs)
+	}
+	o.ThresholdCycles = uint64(v)
 	if o.ThresholdCycles == 0 {
 		return o, fmt.Errorf("latency bound rounds to zero cycles")
 	}

@@ -29,7 +29,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/reqtrace"
 	"repro/internal/simrand"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -234,10 +233,10 @@ type Engine struct {
 	// Measurement counters (cleared by ResetStats).
 	businessOps                uint64
 	opsByTag                   map[string]uint64
-	latByTag                   map[string]*stats.Histogram
+	latByTag                   map[string]*obs.HDR
 	gcWall                     uint64
 	gcCount                    uint64
-	gcPauses                   stats.Histogram
+	gcPauses                   obs.HDR
 	lockWaitCycles             uint64
 	lockBlocks                 uint64
 	lockAcquires               uint64
@@ -296,7 +295,7 @@ func (e *Engine) AttachObs(o *obs.Observer) {
 
 // GCPauses returns the distribution of stop-the-world pause lengths in
 // cycles since the last ResetStats (the jvm.gc.pause_cycles metric).
-func (e *Engine) GCPauses() *stats.Histogram { return &e.gcPauses }
+func (e *Engine) GCPauses() *obs.HDR { return &e.gcPauses }
 
 // SetReqTrace attaches a request-latency collector: every tracked operation
 // gets a span decomposed into phase segments as the engine plays it. nil
@@ -331,7 +330,7 @@ func NewEngine(cfg Config, hier *memsys.Hierarchy, layout *ifetch.CodeLayout, ne
 		locks:    make(map[uint64]*lockState),
 		sems:     make(map[uint64]*semState),
 		opsByTag: make(map[string]uint64),
-		latByTag: make(map[string]*stats.Histogram),
+		latByTag: make(map[string]*obs.HDR),
 	}
 	for _, c := range cfg.PSet {
 		if c < 0 || c >= cfg.CPUs {
@@ -633,11 +632,11 @@ func (e *Engine) runThread(th *thread, c int, start uint64) {
 				e.opsByTag[th.op.Tag]++
 				h := e.latByTag[th.op.Tag]
 				if h == nil {
-					h = &stats.Histogram{}
+					h = &obs.HDR{}
 					e.latByTag[th.op.Tag] = h
 				}
 				if t > th.opStart {
-					h.Add(t - th.opStart)
+					h.Record(t - th.opStart)
 				}
 				if e.tracer.Enabled(obs.CompWorkload) {
 					e.tracer.Span(obs.CompWorkload, th.op.Tag, threadTrackBase+th.id,
@@ -1003,7 +1002,7 @@ func (e *Engine) stopTheWorld(c int, t uint64, gc *trace.GC) uint64 {
 	e.freeAt[c] = stwEnd
 	e.gcWall += stwEnd - stwStart
 	e.gcCount++
-	e.gcPauses.Add(stwEnd - stwStart)
+	e.gcPauses.Record(stwEnd - stwStart)
 	if e.rt != nil {
 		// The pause freezes the whole machine: nothing dispatches before
 		// stwEnd, so every request in flight absorbs the full pause. That is
@@ -1080,10 +1079,10 @@ func (e *Engine) ResetStats() {
 	e.hier.ResetStats()
 	e.businessOps = 0
 	e.opsByTag = make(map[string]uint64)
-	e.latByTag = make(map[string]*stats.Histogram)
+	e.latByTag = make(map[string]*obs.HDR)
 	e.gcWall = 0
 	e.gcCount = 0
-	e.gcPauses = stats.Histogram{}
+	e.gcPauses.Reset()
 	e.lockWaitCycles = 0
 	e.lockBlocks = 0
 	e.lockAcquires = 0
@@ -1102,7 +1101,7 @@ type Results struct {
 	// LatencyByTag holds per-operation-type response-time histograms in
 	// cycles (ECperf's specification bounds the 90th percentile; the paper
 	// relaxed it, §2.2 — these histograms let either policy be checked).
-	LatencyByTag map[string]*stats.Histogram
+	LatencyByTag map[string]*obs.HDR
 	// PSet accounting, summed over the processor set.
 	Modes Modes
 	// CPU aggregates CPI decomposition over the processor set's cores.
